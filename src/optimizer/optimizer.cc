@@ -345,6 +345,11 @@ Result<Plan> BuildPlan(const mril::Program& program,
   if (input_bytes_or.ok()) {
     ex.baseline_bytes = static_cast<double>(*input_bytes_or);
   }
+  // An entry built over an earlier version of the input is never
+  // served: its recorded input size must match the file as it is now.
+  auto is_stale = [&input_bytes_or](const index::CatalogEntry& e) {
+    return !input_bytes_or.ok() || e.input_bytes != *input_bytes_or;
+  };
 
   // Catalog lookup + pricing for every candidate. Pricing touches
   // artifact metadata only (footers/manifests, O(1) I/O per
@@ -366,7 +371,7 @@ Result<Plan> BuildPlan(const mril::Program& program,
   CostContext cost_context;
   cost_context.observed_selectivity = options.observed_selectivity;
   for (const index::CatalogEntry& e : catalog.FindForInput(input_path)) {
-    if (e.stats_path.empty()) continue;
+    if (e.stats_path.empty() || is_stale(e)) continue;
     Result<stats::TableStats> loaded =
         stats::TableStats::Load(e.stats_path);
     if (loaded.ok()) {
@@ -388,8 +393,15 @@ Result<Plan> BuildPlan(const mril::Program& program,
       continue;
     }
     ce.cataloged = true;
-    ce.verdict = "rejected";  // chosen candidate overrides below
     ce.artifact_path = entry->artifact_path;
+    if (is_stale(*entry)) {
+      ce.verdict = "stale";
+      ce.reason = StrPrintf(
+          "built over a %llu-byte input; the input has changed",
+          static_cast<unsigned long long>(entry->input_bytes));
+      continue;
+    }
+    ce.verdict = "rejected";  // chosen candidate overrides below
     Avail avail{i, std::move(*entry), std::nullopt};
     Result<CandidateCost> cost_or = EstimateArtifactCost(
         candidates[i], avail.entry, report, cost_context);

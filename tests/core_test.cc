@@ -134,5 +134,60 @@ TEST(ManimalSystemTest, BaselineNeverConsultsCatalog) {
   EXPECT_EQ(baseline.counters.map_invocations, 500u);
 }
 
+// An artifact built over one version of the input must not serve a
+// later, different version written to the same path: the optimizer
+// marks the candidate stale and the job falls back to the full scan,
+// whose output equals the baseline's.
+TEST(ManimalSystemTest, StaleArtifactIsNotServedAfterInputChanges) {
+  TempDir dir("core6");
+  const std::string pages = dir.file("pages.msq");
+  workloads::WebPagesOptions gen;
+  gen.num_pages = 1000;
+  gen.content_len = 64;
+  gen.rank_range = 100;
+  ASSERT_OK(workloads::GenerateWebPages(pages, gen).status());
+  auto options = BaseOptions(dir.file("ws"));
+  options.explain = optimizer::ExplainMode::kPlan;
+  ASSERT_OK_AND_ASSIGN(auto system, ManimalSystem::Open(options));
+
+  ManimalSystem::Submission job;
+  job.program = workloads::ProjectionQuery(70);
+  job.input_path = pages;
+  job.output_path = dir.file("out.prs");
+  ASSERT_OK_AND_ASSIGN(auto first, system->Submit(job));
+  ASSERT_FALSE(first.index_programs.empty());
+  const analyzer::IndexGenProgram& tree = first.index_programs[0];
+  ASSERT_TRUE(tree.btree) << tree.Describe();
+  ASSERT_OK(system->BuildIndex(tree, pages).status());
+  ASSERT_OK_AND_ASSIGN(auto fresh, system->Submit(job));
+  EXPECT_TRUE(fresh.plan.optimized) << fresh.plan.explanation;
+
+  // Same path, new contents and size.
+  gen.num_pages = 700;
+  gen.seed = 7;
+  ASSERT_OK(workloads::GenerateWebPages(pages, gen).status());
+  ASSERT_OK_AND_ASSIGN(auto outcome, system->Submit(job));
+  EXPECT_FALSE(outcome.plan.optimized) << outcome.plan.explanation;
+  ASSERT_TRUE(outcome.explain.has_value());
+  bool saw_stale = false;
+  for (const optimizer::CandidateExplain& c :
+       outcome.explain->plan.candidates) {
+    if (c.signature == tree.Signature()) {
+      EXPECT_EQ(c.verdict, "stale") << c.reason;
+      saw_stale = true;
+    }
+  }
+  EXPECT_TRUE(saw_stale);
+  ASSERT_OK_AND_ASSIGN(auto optimized,
+                       exec::ReadCanonicalPairs(job.output_path));
+
+  job.output_path = dir.file("base.prs");
+  ASSERT_OK(system->RunBaseline(job).status());
+  ASSERT_OK_AND_ASSIGN(auto baseline,
+                       exec::ReadCanonicalPairs(job.output_path));
+  EXPECT_EQ(optimized.size(), baseline.size());
+  EXPECT_TRUE(optimized == baseline) << "optimized output differs";
+}
+
 }  // namespace
 }  // namespace manimal::core

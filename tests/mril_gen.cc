@@ -192,7 +192,7 @@ GeneratedProgram GenerateProvableSelectionProgram(uint64_t seed,
   GeneratedProgram out;
   std::string& desc = out.description;
 
-  // Narrow seeds stay inside the emitted (dlopen) engine's family:
+  // Narrow seeds stay on the kernel's typed fast paths:
   // i64-field-vs-constant predicates, i64 keys, scalar/record values.
   const bool narrow = rng.Uniform(3) == 0;
   const int num_preds = static_cast<int>(rng.Uniform(4));  // 0..3

@@ -35,9 +35,9 @@ GeneratedProgram GenerateWebPagesProgram(uint64_t seed,
 // early exits, no side effects, every branch condition and emit
 // operand functional — so codegen::ExtractShape must admit all of
 // them (tests/vm_dispatch_test.cc asserts exactly that). Roughly a
-// third of seeds stay inside the narrow i64-field-vs-constant family
-// the emitted (dlopen) engine covers; the rest exercise string
-// predicates and arena-allocated emit values on the closure engine.
+// third of seeds are narrow: i64-field-vs-constant predicates only,
+// which hit the kernel's typed fast paths; the rest exercise string
+// predicates and arena-allocated emit values.
 GeneratedProgram GenerateProvableSelectionProgram(uint64_t seed,
                                                   int64_t rank_range);
 

@@ -19,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "codegen/dlopen_kernel.h"
 #include "codegen/kernel.h"
 #include "codegen/shape.h"
 #include "common/env.h"
@@ -55,11 +54,6 @@ struct RunTrace {
   std::vector<std::string> statuses;  // one per invocation
   int64_t steps = 0;
 };
-
-bool operator==(const RunTrace& a, const RunTrace& b) {
-  return a.emits == b.emits && a.logs == b.logs &&
-         a.statuses == b.statuses && a.steps == b.steps;
-}
 
 // WebPages-shaped records (url STR, rank I64, content STR) — the
 // schema shared by the corpus programs and the mril_gen generator.
@@ -204,11 +198,11 @@ RunTrace RunUnderKernel(
 }
 
 // Runs the full three-way comparison for one admitted program: switch
-// VM vs threaded VM (all observables including steps), then each
-// compilable kernel engine vs the switch VM (emits/logs/statuses).
-// Returns the number of kernel engines exercised.
-int ExpectThreeWayAgree(const mril::Program& program,
-                        const std::vector<Value>& records) {
+// VM vs threaded VM (all observables including steps), then the native
+// kernel vs the switch VM (emits/logs/statuses). The kernel must
+// compile every admitted shape.
+void ExpectThreeWayAgree(const mril::Program& program,
+                         const std::vector<Value>& records) {
   RunTrace sw = RunUnderDispatch(program, records, VmDispatch::kSwitch);
   if (mril::ThreadedDispatchAvailable()) {
     RunTrace th =
@@ -218,37 +212,14 @@ int ExpectThreeWayAgree(const mril::Program& program,
     EXPECT_EQ(sw.statuses, th.statuses);
     EXPECT_EQ(sw.steps, th.steps);
   }
-  int engines = 0;
-  const codegen::CompileOptions::Engine kEngines[] = {
-      codegen::CompileOptions::Engine::kClosure,
-      codegen::CompileOptions::Engine::kEmitted,
-  };
-  for (const auto engine : kEngines) {
-    if (engine == codegen::CompileOptions::Engine::kEmitted &&
-        !codegen::EmittedKernelAvailable()) {
-      continue;
-    }
-    codegen::CompileOptions options;
-    options.engine = engine;
-    Result<std::shared_ptr<const codegen::NativeKernel>> kernel =
-        codegen::CompileKernel(program, options);
-    if (!kernel.ok()) {
-      // The emitted engine covers a narrower family; NotSupported is
-      // its documented answer for the rest. The closure engine must
-      // cover every admitted shape.
-      EXPECT_EQ(kernel.status().code(), StatusCode::kNotSupported);
-      EXPECT_NE(engine, codegen::CompileOptions::Engine::kClosure)
-          << kernel.status().ToString();
-      continue;
-    }
-    SCOPED_TRACE((*kernel)->Describe());
-    RunTrace native = RunUnderKernel(program, records, *kernel);
-    EXPECT_EQ(sw.emits, native.emits);
-    EXPECT_EQ(sw.logs, native.logs);
-    EXPECT_EQ(sw.statuses, native.statuses);
-    ++engines;
-  }
-  return engines;
+  Result<std::shared_ptr<const codegen::NativeKernel>> kernel =
+      codegen::CompileKernel(program, codegen::CompileOptions{});
+  ASSERT_OK(kernel.status());
+  SCOPED_TRACE((*kernel)->Describe());
+  RunTrace native = RunUnderKernel(program, records, *kernel);
+  EXPECT_EQ(sw.emits, native.emits);
+  EXPECT_EQ(sw.logs, native.logs);
+  EXPECT_EQ(sw.statuses, native.statuses);
 }
 
 std::vector<std::string> CorpusFiles() {
@@ -327,7 +298,7 @@ TEST(ThreeWayDifferential, AdmittedCorpusProgramsAgree) {
     ASSERT_OK(mril::VerifyProgram(program));
     if (!codegen::ExtractShape(program).ok()) continue;
     ++admitted;
-    EXPECT_GE(ExpectThreeWayAgree(program, records), 1);
+    ExpectThreeWayAgree(program, records);
   }
   EXPECT_GE(admitted, 1) << "no corpus program passed the admission "
                             "gate; the three-way suite ran empty";
@@ -342,7 +313,6 @@ TEST_P(ThreeWayFuzz, ProvableGeneratedProgramsAgree) {
   constexpr int64_t kRankRange = 1000;
   std::vector<Value> records = MakeWebPagesRecords(
       /*seed=*/99, 64, kRankRange);
-  int emitted_engine_runs = 0;
   for (int i = 0; i < 25; ++i) {
     uint64_t seed = static_cast<uint64_t>(GetParam()) * 1000 + i;
     testing::GeneratedProgram gen =
@@ -356,12 +326,7 @@ TEST_P(ThreeWayFuzz, ProvableGeneratedProgramsAgree) {
     // The provable mode's whole contract: the admission gate takes
     // every generated seed.
     ASSERT_OK(shape.status());
-    emitted_engine_runs += ExpectThreeWayAgree(gen.program, records) - 1;
-  }
-  if (codegen::EmittedKernelAvailable()) {
-    // The narrow seeds must actually reach the dlopen engine — a
-    // silent universal fallback would make this suite two-way.
-    EXPECT_GE(emitted_engine_runs, 1);
+    ExpectThreeWayAgree(gen.program, records);
   }
 }
 
