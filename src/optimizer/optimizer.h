@@ -2,19 +2,12 @@
 // descriptors, the user's input file, and the catalog to choose the
 // most efficient execution plan currently possible."
 //
-// Two planning modes:
-//
-// RULE-BASED (default, the paper's): the index exploiting the most
-// optimizations wins; selection is favored over delta-compression when
-// both could apply (footnote 3); among remaining candidates the
-// hard-coded ranking is selection > projection > column-groups >
-// delta-compression > direct-operation.
-//
-// COST-BASED (the approach the paper defers to future work): every
-// cataloged candidate is priced in estimated bytes moved — B+Tree
-// selectivity read off the tree's own root fan-out — and the cheapest
-// plan wins, INCLUDING the plain scan when no artifact beats it (an
-// index at 60% selectivity can easily cost more than scanning).
+// Planning is cost-based (the approach §2.2 says "in the long run
+// should be determined"): every cataloged candidate is priced in
+// estimated bytes moved — selectivity from column histograms or the
+// B+Tree's own root fan-out — and the cheapest plan wins, INCLUDING
+// the plain scan when no artifact beats it (an index at 60%
+// selectivity can easily cost more than scanning).
 
 #ifndef MANIMAL_OPTIMIZER_OPTIMIZER_H_
 #define MANIMAL_OPTIMIZER_OPTIMIZER_H_
@@ -47,9 +40,6 @@ exec::ExecutionDescriptor BaselineDescriptor(const mril::Program& program,
                                              const std::string& input_path);
 
 struct PlanningOptions {
-  // When true, price every cataloged candidate (and the baseline scan)
-  // in estimated bytes moved and pick the cheapest.
-  bool cost_based = false;
   // Ground-truth predicate selectivity observed by a running job's
   // first committed splits. Set when re-entering BuildPlan for
   // adaptive mid-job replanning: it overrides every model estimate

@@ -1,7 +1,7 @@
 // Tests for cost-based planning: selectivity estimation from B+Tree
 // fan-out, per-candidate pricing, and the planner declining indexes
 // that would read more than the scan — including end-to-end
-// equivalence whichever mode picks the plan.
+// equivalence with the baseline scan.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include "columnar/seqfile.h"
 #include "common/faulty_env.h"
 #include "core/manimal.h"
+#include "exec/engine.h"
 #include "exec/pairfile.h"
 #include "index/btree.h"
 #include "optimizer/cost.h"
@@ -101,12 +102,10 @@ class CostPlanningTest : public ::testing::Test {
         workloads::GenerateWebPages(dir_.file("pages.msq"), gen).ok());
   }
 
-  std::unique_ptr<core::ManimalSystem> OpenSystem(bool cost_based) {
+  std::unique_ptr<core::ManimalSystem> OpenSystem() {
     core::ManimalSystem::Options options;
-    options.workspace_dir =
-        dir_.file(cost_based ? "ws-cost" : "ws-rule");
+    options.workspace_dir = dir_.file("ws");
     options.simulated_startup_seconds = 0;
-    options.cost_based_optimizer = cost_based;
     auto system_or = core::ManimalSystem::Open(options);
     EXPECT_TRUE(system_or.ok());
     return std::move(system_or).value();
@@ -132,44 +131,34 @@ class CostPlanningTest : public ::testing::Test {
 
 TEST_F(CostPlanningTest, DeclinesIndexWorseThanScan) {
   // 80% selectivity: a locator index reads the index PLUS nearly every
-  // base block — strictly worse than scanning. Rule-based uses it
-  // anyway; cost-based declines.
+  // base block — strictly worse than scanning, so the planner declines.
   mril::Program program = workloads::SelectionCountQuery(200);
 
-  auto rule_system = OpenSystem(false);
-  BuildLocatorOnly(rule_system.get(), program);
+  auto system = OpenSystem();
+  BuildLocatorOnly(system.get(), program);
   core::ManimalSystem::Submission job;
   job.program = program;
   job.input_path = dir_.file("pages.msq");
-  job.output_path = dir_.file("rule.prs");
-  ASSERT_OK_AND_ASSIGN(auto rule, rule_system->Submit(job));
-  EXPECT_TRUE(rule.plan.optimized);
-  EXPECT_NE(rule.plan.explanation.find("btree"), std::string::npos);
-
-  auto cost_system = OpenSystem(true);
-  BuildLocatorOnly(cost_system.get(), program);
   job.output_path = dir_.file("cost.prs");
-  ASSERT_OK_AND_ASSIGN(auto cost, cost_system->Submit(job));
+  ASSERT_OK_AND_ASSIGN(auto cost, system->Submit(job));
   EXPECT_NE(cost.plan.explanation.find("no cataloged artifact beats"),
             std::string::npos)
       << cost.plan.explanation;
-  // Cost-based read fewer or equal bytes than the misused index.
-  EXPECT_LE(cost.job.counters.input_bytes,
-            rule.job.counters.input_bytes);
 
+  job.output_path = dir_.file("base.prs");
+  ASSERT_OK(system->RunBaseline(job).status());
   ASSERT_OK_AND_ASSIGN(auto a,
-                       exec::ReadCanonicalPairs(dir_.file("rule.prs")));
+                       exec::ReadCanonicalPairs(dir_.file("base.prs")));
   ASSERT_OK_AND_ASSIGN(auto b,
                        exec::ReadCanonicalPairs(dir_.file("cost.prs")));
   EXPECT_EQ(a, b);
 }
 
 TEST_F(CostPlanningTest, PicksIndexAtNeedleSelectivity) {
-  // ~0.1% selectivity: even the byte-conservative cost model (every
-  // match may decode a whole base block) prices the index far below
-  // the scan.
+  // ~0.1% selectivity: a handful of matches touch a handful of base
+  // blocks, so the index prices far below the scan.
   mril::Program program = workloads::SelectionCountQuery(999);
-  auto cost_system = OpenSystem(true);
+  auto cost_system = OpenSystem();
   BuildLocatorOnly(cost_system.get(), program);
   core::ManimalSystem::Submission job;
   job.program = program;
@@ -187,7 +176,7 @@ TEST_F(CostPlanningTest, ChoosesCheapestAmongSeveral) {
   // selectivity the projection artifact (tiny rows, full scan) should
   // win on bytes.
   mril::Program program = workloads::SelectionCountQuery(500);
-  auto system = OpenSystem(true);
+  auto system = OpenSystem();
   ASSERT_OK_AND_ASSIGN(auto report, analyzer::Analyze(program));
   auto specs = analyzer::SynthesizeIndexPrograms(program, report);
   for (const auto& s : specs) {
@@ -432,7 +421,7 @@ TEST(CostTest, CanonicalizedDriftBeatsNaiveSummation) {
 
 TEST_F(CostPlanningTest, StatsRideTheCatalogIntoThePlan) {
   mril::Program program = workloads::SelectionCountQuery(200);
-  auto system = OpenSystem(true);
+  auto system = OpenSystem();
   BuildLocatorOnly(system.get(), program);
 
   // The build wrote a stats sidecar and the catalog references it.
@@ -452,6 +441,134 @@ TEST_F(CostPlanningTest, StatsRideTheCatalogIntoThePlan) {
   ASSERT_OK_AND_ASSIGN(auto outcome, system->Submit(job));
   EXPECT_EQ(outcome.plan.descriptor.est_provenance, "histogram");
   EXPECT_NEAR(outcome.plan.descriptor.est_predicate_selectivity, 0.8, 0.05);
+}
+
+// B1-style selections over opaque Rankings: the select-sweep workload,
+// scaled down. Uniform pageRank scatters matches over every block.
+class OpaqueSelectionTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kRankRange = 100000;
+
+  void SetUp() override {
+    workloads::RankingsOptions gen;
+    gen.num_pages = 60000;
+    gen.rank_range = kRankRange;
+    ASSERT_OK(workloads::GenerateRankings(input(), gen).status());
+  }
+
+  std::string input() const { return dir_.file("rankings.msq"); }
+
+  std::unique_ptr<core::ManimalSystem> OpenSystem() {
+    core::ManimalSystem::Options options;
+    options.workspace_dir = dir_.file("ws");
+    options.simulated_startup_seconds = 0;
+    options.map_parallelism = 2;
+    options.num_partitions = 2;
+    options.explain = ExplainMode::kPlan;
+    auto system_or = core::ManimalSystem::Open(options);
+    EXPECT_TRUE(system_or.ok());
+    return std::move(system_or).value();
+  }
+
+  core::ManimalSystem::Submission Job(int64_t threshold,
+                                      const std::string& output) {
+    core::ManimalSystem::Submission job;
+    job.program = workloads::Benchmark1Selection(threshold);
+    job.input_path = input();
+    job.output_path = dir_.file(output);
+    return job;
+  }
+
+  TempDir dir_{"cost-opaque"};
+};
+
+TEST_F(OpaqueSelectionTest, NeedleSelectionReadsTheClusteredTree) {
+  // ~0.5% selectivity with ~200 records per block: the matches touch
+  // most blocks through the locator tree, while the clustered tree
+  // holds them contiguously.
+  core::ManimalSystem::Submission job =
+      Job(kRankRange - kRankRange / 200, "needle.prs");
+  auto system = OpenSystem();
+  ASSERT_OK_AND_ASSIGN(auto report, analyzer::Analyze(job.program));
+  std::string clustered;
+  int trees = 0;
+  for (const auto& spec :
+       analyzer::SynthesizeIndexPrograms(job.program, report)) {
+    if (!spec.btree) continue;
+    ASSERT_OK(system->BuildIndex(spec, input()).status());
+    ++trees;
+    if (spec.clustered) clustered = spec.Signature();
+  }
+  ASSERT_EQ(trees, 2);
+  ASSERT_FALSE(clustered.empty());
+
+  ASSERT_OK_AND_ASSIGN(auto outcome, system->Submit(job));
+  ASSERT_TRUE(outcome.explain.has_value());
+  bool found = false;
+  for (const CandidateExplain& c : outcome.explain->plan.candidates) {
+    if (c.signature != clustered) continue;
+    found = true;
+    EXPECT_EQ(c.verdict, "chosen") << c.reason << "; " << c.cost_detail;
+  }
+  EXPECT_TRUE(found);
+  ASSERT_OK_AND_ASSIGN(uint64_t input_bytes, GetFileSize(input()));
+  EXPECT_LT(outcome.job.counters.input_bytes, input_bytes / 20);
+
+  ASSERT_OK_AND_ASSIGN(auto a, exec::ReadCanonicalPairs(job.output_path));
+  job.output_path = dir_.file("needle-base.prs");
+  ASSERT_OK(system->RunBaseline(job).status());
+  ASSERT_OK_AND_ASSIGN(auto b, exec::ReadCanonicalPairs(job.output_path));
+  EXPECT_FALSE(a.empty());
+  EXPECT_EQ(a, b);
+}
+
+TEST_F(OpaqueSelectionTest, LocatorPriceCountsDistinctBlocks) {
+  // Price the locator tree where the matches equal the base file's
+  // block count: then about 1 - 1/e of the blocks hold a match, while a
+  // one-block-per-match price charges them all. The true matching
+  // fraction goes in as the observed selectivity, so the check
+  // measures the block pricing rather than the histogram's sampling.
+  ASSERT_OK_AND_ASSIGN(auto base, columnar::SeqFileReader::Open(input()));
+  const double records = static_cast<double>(base->num_records());
+  const double blocks = static_cast<double>(base->num_blocks());
+  core::ManimalSystem::Submission job =
+      Job(kRankRange - static_cast<int64_t>(kRankRange * blocks / records),
+          "baseline.prs");
+  auto system = OpenSystem();
+  ASSERT_OK_AND_ASSIGN(auto report, analyzer::Analyze(job.program));
+  bool built = false;
+  for (const auto& spec :
+       analyzer::SynthesizeIndexPrograms(job.program, report)) {
+    if (!spec.btree || spec.clustered) continue;
+    ASSERT_OK(system->BuildIndex(spec, input()).status());
+    built = true;
+  }
+  ASSERT_TRUE(built);
+  ASSERT_OK(system->RunBaseline(job).status());
+  ASSERT_OK_AND_ASSIGN(auto expected,
+                       exec::ReadCanonicalPairs(job.output_path));
+  const double matches = static_cast<double>(expected.size());
+  EXPECT_NEAR(matches, blocks, 0.2 * blocks);
+
+  PlanningOptions observed;
+  observed.observed_selectivity = matches / records;
+  ASSERT_OK_AND_ASSIGN(auto plan, BuildPlan(job.program, input(), report,
+                                            system->catalog(), observed));
+  ASSERT_EQ(plan.descriptor.access_path, exec::AccessPath::kBTree)
+      << plan.explanation;
+  exec::JobConfig config;
+  config.map_parallelism = 2;
+  config.num_partitions = 2;
+  config.temp_dir = dir_.file("locator-tmp");
+  config.output_path = dir_.file("locator.prs");
+  config.simulated_startup_seconds = 0;
+  ASSERT_OK_AND_ASSIGN(auto result, exec::RunJob(plan.descriptor, config));
+  const double decoded = static_cast<double>(result.counters.bytes_decoded);
+  EXPECT_NEAR(plan.explain.est_bytes, decoded, 0.1 * decoded)
+      << plan.explanation;
+  ASSERT_OK_AND_ASSIGN(auto pairs,
+                       exec::ReadCanonicalPairs(config.output_path));
+  EXPECT_EQ(pairs, expected);
 }
 
 // ---- adaptive mid-job replanning ----
@@ -482,14 +599,11 @@ class ReplanTest : public ::testing::Test {
 
   std::string input() const { return dir_.file("skewed.msq"); }
 
-  std::unique_ptr<core::ManimalSystem> OpenSystem(const std::string& ws,
-                                                  bool cost_based,
-                                                  bool adaptive) {
+  std::unique_ptr<core::ManimalSystem> OpenSystem(const std::string& ws) {
     core::ManimalSystem::Options options;
     options.workspace_dir = dir_.file(ws);
     options.simulated_startup_seconds = 0;
-    options.cost_based_optimizer = cost_based;
-    options.adaptive_replan = adaptive;
+    options.adaptive_replan = true;
     options.replan_min_splits = 1;
     // One map slot: the three splits commit in file order, so the
     // decision point is deterministic.
@@ -521,7 +635,7 @@ class ReplanTest : public ::testing::Test {
 TEST_F(ReplanTest, SwitchesMidJobAndStaysByteIdentical) {
   mril::Program program = workloads::SelectionCountQuery(kThreshold);
 
-  auto adaptive = OpenSystem("ws-adaptive", true, true);
+  auto adaptive = OpenSystem("ws-adaptive");
   BuildLocator(adaptive.get(), program);
   core::ManimalSystem::Submission job;
   job.program = program;
@@ -545,23 +659,33 @@ TEST_F(ReplanTest, SwitchesMidJobAndStaysByteIdentical) {
   EXPECT_FALSE(replan.to.empty());
 
   // Differential: the switched job, the never-switched baseline scan,
-  // and a rule-based run forced onto the tree for the WHOLE job must
-  // produce byte-identical canonical output.
+  // and a run forced onto the tree for the WHOLE job must produce
+  // byte-identical canonical output. The forced plan is the one the
+  // planner picks once told that nothing matches.
   job.output_path = dir_.file("baseline.prs");
   ASSERT_OK_AND_ASSIGN(auto baseline, adaptive->RunBaseline(job));
 
-  auto rule = OpenSystem("ws-rule", false, false);
-  BuildLocator(rule.get(), program);
-  job.output_path = dir_.file("rule.prs");
-  ASSERT_OK_AND_ASSIGN(auto forced, rule->Submit(job));
-  EXPECT_NE(forced.plan.explanation.find("btree"), std::string::npos);
+  PlanningOptions told_empty;
+  told_empty.observed_selectivity = 0.0;
+  ASSERT_OK_AND_ASSIGN(auto tree_plan,
+                       BuildPlan(program, input(), outcome.report,
+                                 adaptive->catalog(), told_empty));
+  ASSERT_EQ(tree_plan.descriptor.access_path, exec::AccessPath::kBTree)
+      << tree_plan.explanation;
+  exec::JobConfig config;
+  config.map_parallelism = 1;
+  config.num_partitions = 1;
+  config.temp_dir = dir_.file("tree-tmp");
+  config.output_path = dir_.file("tree.prs");
+  config.simulated_startup_seconds = 0;
+  ASSERT_OK(exec::RunJob(tree_plan.descriptor, config).status());
 
   ASSERT_OK_AND_ASSIGN(auto a,
                        exec::ReadCanonicalPairs(dir_.file("adaptive.prs")));
   ASSERT_OK_AND_ASSIGN(auto b,
                        exec::ReadCanonicalPairs(dir_.file("baseline.prs")));
   ASSERT_OK_AND_ASSIGN(auto c,
-                       exec::ReadCanonicalPairs(dir_.file("rule.prs")));
+                       exec::ReadCanonicalPairs(dir_.file("tree.prs")));
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, b);
   EXPECT_EQ(a, c);
@@ -576,7 +700,7 @@ TEST_F(ReplanTest, SwitchesMidJobAndStaysByteIdentical) {
 
 TEST_F(ReplanTest, SwitchSurvivesFaultInjection) {
   mril::Program program = workloads::SelectionCountQuery(kThreshold);
-  auto adaptive = OpenSystem("ws-fault", true, true);
+  auto adaptive = OpenSystem("ws-fault");
   BuildLocator(adaptive.get(), program);
 
   core::ManimalSystem::Submission job;

@@ -62,7 +62,6 @@ TEST(ExplainTest, PlanModeListsChosenAndRejectedCandidates) {
   mril::Program program = workloads::SelectionCountQuery(50);
 
   auto options = BaseOptions(dir.file("ws"));
-  options.cost_based_optimizer = true;
   options.explain = ExplainMode::kPlan;
   ASSERT_OK_AND_ASSIGN(auto system,
                        core::ManimalSystem::Open(options));
@@ -80,7 +79,6 @@ TEST(ExplainTest, PlanModeListsChosenAndRejectedCandidates) {
   ASSERT_TRUE(outcome.explain.has_value());
   const ExplainReport& ex = *outcome.explain;
   EXPECT_FALSE(ex.analyzed);
-  EXPECT_EQ(ex.plan.mode, "cost");
   EXPECT_FALSE(ex.plan.candidates.empty());
   int chosen = 0;
   for (const CandidateExplain& c : ex.plan.candidates) {
@@ -101,6 +99,7 @@ TEST(ExplainTest, PlanModeListsChosenAndRejectedCandidates) {
 
   const std::string text = ex.ToText();
   EXPECT_NE(text.find("EXPLAIN"), std::string::npos);
+  EXPECT_NE(text.find("(mode=cost)"), std::string::npos);
   EXPECT_NE(text.find(program.name), std::string::npos);
   EXPECT_NE(text.find("candidates"), std::string::npos);
 }
@@ -131,7 +130,7 @@ TEST(ExplainTest, JsonRoundTripsThroughParser) {
   const obs::JsonValue* plan = parsed.Find("plan");
   ASSERT_NE(plan, nullptr);
   EXPECT_EQ(plan->StringOr("program", ""), program.name);
-  EXPECT_EQ(plan->StringOr("mode", ""), "rule");
+  EXPECT_EQ(plan->StringOr("mode", ""), "cost");
   const obs::JsonValue* candidates = plan->Find("candidates");
   ASSERT_NE(candidates, nullptr);
   ASSERT_TRUE(candidates->is_array());
@@ -211,7 +210,6 @@ TEST(ExplainTest, AnalyzeJoinsEstimatesIntoDrift) {
   mril::Program program = workloads::SelectionCountQuery(50);
 
   auto options = BaseOptions(dir.file("ws"));
-  options.cost_based_optimizer = true;
   options.explain = ExplainMode::kAnalyze;
   ASSERT_OK_AND_ASSIGN(auto system,
                        core::ManimalSystem::Open(options));

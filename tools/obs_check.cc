@@ -233,7 +233,7 @@ void CheckExplain(const std::string& path) {
       Fail(path, i + 1, "plan missing '" + missing + "'");
     }
     const std::string mode = plan->StringOr("mode", "");
-    if (mode != "rule" && mode != "cost") {
+    if (mode != "cost") {
       Fail(path, i + 1, "plan mode '" + mode + "' unexpected");
     }
     const JsonValue* candidates = plan->Find("candidates");
