@@ -140,6 +140,56 @@ bool Cfg::HasCycle() const {
   return false;
 }
 
+std::vector<NaturalLoop> Cfg::NaturalLoops() const {
+  const size_t n = blocks_.size();
+  const std::vector<bool> reachable = ReachableBlocks();
+  // Iterative dominator sets: dom(entry) = {entry},
+  // dom(b) = {b} + the intersection of dom(p) over reachable preds p.
+  std::vector<std::vector<bool>> dom(n, std::vector<bool>(n, true));
+  dom[entry_block()].assign(n, false);
+  dom[entry_block()][entry_block()] = true;
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (size_t b = 0; b < n; ++b) {
+      if (!reachable[b] || static_cast<int>(b) == entry_block()) continue;
+      std::vector<bool> next(n, true);
+      for (int eid : blocks_[b].pred_edges) {
+        const int p = edges_[eid].from;
+        if (!reachable[p]) continue;
+        for (size_t i = 0; i < n; ++i) next[i] = next[i] && dom[p][i];
+      }
+      next[b] = true;
+      if (next != dom[b]) {
+        dom[b] = std::move(next);
+        changed = true;
+      }
+    }
+  }
+  std::vector<NaturalLoop> loops;
+  for (const CfgEdge& e : edges_) {
+    if (!reachable[e.from] || !dom[e.from][e.to]) continue;
+    NaturalLoop loop;
+    loop.header = e.to;
+    loop.latch = e.from;
+    loop.body.assign(n, false);
+    loop.body[e.to] = true;
+    // The body: every block that reaches the latch without passing
+    // the header.
+    std::vector<int> worklist = {e.from};
+    while (!worklist.empty()) {
+      const int b = worklist.back();
+      worklist.pop_back();
+      if (!reachable[b] || loop.body[b]) continue;
+      loop.body[b] = true;
+      for (int eid : blocks_[b].pred_edges) {
+        worklist.push_back(edges_[eid].from);
+      }
+    }
+    loops.push_back(std::move(loop));
+  }
+  return loops;
+}
+
 std::vector<bool> Cfg::BlocksReaching(int target) const {
   std::vector<bool> reaches(blocks_.size(), false);
   std::vector<int> worklist = {target};

@@ -36,6 +36,15 @@ struct CfgEdge {
   int branch_pc = -1;
 };
 
+// A natural loop: the blocks of one back edge latch -> header, where
+// the header dominates the latch (every path from entry to the latch
+// passes the header).
+struct NaturalLoop {
+  int header = -1;
+  int latch = -1;
+  std::vector<bool> body;  // per block id; includes header and latch
+};
+
 struct BasicBlock {
   int id = 0;
   int first_pc = 0;  // inclusive
@@ -63,6 +72,12 @@ class Cfg {
   // True if any cycle exists (loops make path enumeration unsafe for
   // selection analysis; the analyzer then declines to optimize).
   bool HasCycle() const;
+
+  // One natural loop per back edge of the reachable CFG (an edge whose
+  // target dominates its source). A cycle that is not a natural loop
+  // (irreducible flow) has no back edge and is not reported, so
+  // callers that need loop-free code must still check HasCycle().
+  std::vector<NaturalLoop> NaturalLoops() const;
 
   // Blocks from which `target` is reachable (including target itself).
   std::vector<bool> BlocksReaching(int target) const;

@@ -5,6 +5,7 @@
 #include <memory>
 #include <utility>
 
+#include "common/coding.h"
 #include "common/strings.h"
 #include "mril/builtins.h"
 
@@ -864,6 +865,143 @@ Result<std::shared_ptr<const NativeKernel>> CompileKernel(
       shape.Describe().c_str(), total_terms, kernel->prepass_.size(),
       kernel->min_arity_);
   return std::shared_ptr<const NativeKernel>(std::move(kernel));
+}
+
+// ---- the reduce-side fold --------------------------------------
+
+namespace {
+
+// Consumes one encoded value, failing exactly where DecodeValue would.
+bool SkipEncoded(std::string_view* in) {
+  if (in->empty()) return false;
+  const auto kind = static_cast<ValueKind>((*in)[0]);
+  in->remove_prefix(1);
+  switch (kind) {
+    case ValueKind::kNull:
+      return true;
+    case ValueKind::kBool:
+      if (in->empty()) return false;
+      in->remove_prefix(1);
+      return true;
+    case ValueKind::kI64: {
+      int64_t v;
+      return GetVarintSigned(in, &v).ok();
+    }
+    case ValueKind::kF64: {
+      double v;
+      return GetDouble(in, &v).ok();
+    }
+    case ValueKind::kStr: {
+      std::string_view v;
+      return GetLengthPrefixed(in, &v).ok();
+    }
+    case ValueKind::kList: {
+      uint64_t n = 0;
+      if (!GetVarint64(in, &n).ok()) return false;
+      for (uint64_t i = 0; i < n; ++i) {
+        if (!SkipEncoded(in)) return false;
+      }
+      return true;
+    }
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
+FoldKernel::FoldKernel(FoldShape shape, int64_t max_steps_per_invocation)
+    : shape_(std::move(shape)) {
+  if (shape_.constant_term.has_value()) {
+    constant_.is_f64 = shape_.constant_term->is_f64();
+    constant_.i = constant_.is_f64 ? 0 : shape_.constant_term->i64();
+    constant_.f = constant_.is_f64 ? shape_.constant_term->f64() : 0;
+  }
+  max_values_ = max_steps_per_invocation < shape_.fixed_steps
+                    ? -1
+                    : (max_steps_per_invocation - shape_.fixed_steps) /
+                          shape_.steps_per_value;
+}
+
+// Reads the term of one value: descends the list.get path, then
+// requires a number, consuming the whole value so every element is
+// validated as DecodeValue would.
+bool FoldKernel::ReadTerm(std::string_view* in, size_t depth,
+                          Num* out) const {
+  if (in->empty()) return false;
+  const auto kind = static_cast<ValueKind>((*in)[0]);
+  if (depth == shape_.path.size()) {
+    in->remove_prefix(1);
+    if (kind == ValueKind::kI64) {
+      out->is_f64 = false;
+      return GetVarintSigned(in, &out->i).ok();
+    }
+    if (kind == ValueKind::kF64) {
+      out->is_f64 = true;
+      return GetDouble(in, &out->f).ok();
+    }
+    return false;  // the VM adds only numbers to a numeric acc
+  }
+  if (kind != ValueKind::kList) return false;  // list.get faults
+  in->remove_prefix(1);
+  uint64_t n = 0;
+  if (!GetVarint64(in, &n).ok()) return false;
+  const int64_t k = shape_.path[depth];
+  if (k < 0 || static_cast<uint64_t>(k) >= n) return false;
+  for (uint64_t j = 0; j < n; ++j) {
+    const bool ok = j == static_cast<uint64_t>(k)
+                        ? ReadTerm(in, depth + 1, out)
+                        : SkipEncoded(in);
+    if (!ok) return false;
+  }
+  return true;
+}
+
+bool FoldKernel::Fold(std::span<const std::string> encoded_values,
+                      Value* acc) const {
+  if (static_cast<int64_t>(encoded_values.size()) > max_values_) {
+    return false;  // the VM might hit its step limit: let it decide
+  }
+  // The accumulator stays i64 until an f64 operand promotes it, as
+  // ArithSlow does; i64 + i64 wraps.
+  Num sum;
+  sum.is_f64 = shape_.init.is_f64();
+  sum.i = sum.is_f64 ? 0 : shape_.init.i64();
+  sum.f = sum.is_f64 ? shape_.init.f64() : 0;
+  const bool constant = shape_.constant_term.has_value();
+  for (const std::string& encoded : encoded_values) {
+    std::string_view in = encoded;
+    Num term = constant_;
+    if (!(constant ? SkipEncoded(&in) : ReadTerm(&in, 0, &term))) {
+      return false;
+    }
+    if (!sum.is_f64 && !term.is_f64) {
+      sum.i = static_cast<int64_t>(static_cast<uint64_t>(sum.i) +
+                                   static_cast<uint64_t>(term.i));
+      continue;
+    }
+    if (!sum.is_f64) {
+      sum.is_f64 = true;
+      sum.f = static_cast<double>(sum.i);
+    }
+    const double t = term.is_f64 ? term.f : static_cast<double>(term.i);
+    sum.f = shape_.acc_on_left ? sum.f + t : t + sum.f;
+  }
+  *acc = sum.is_f64 ? Value::F64(sum.f) : Value::I64(sum.i);
+  return true;
+}
+
+std::string FoldKernel::Describe() const {
+  return StrPrintf("fold kernel: %s; groups <= %lld values",
+                   shape_.Describe().c_str(),
+                   static_cast<long long>(max_values_));
+}
+
+Result<std::shared_ptr<const FoldKernel>> CompileFold(
+    const mril::Program& program, int64_t max_steps_per_invocation) {
+  MANIMAL_ASSIGN_OR_RETURN(FoldShape shape, ExtractFoldShape(program));
+  return std::make_shared<const FoldKernel>(std::move(shape),
+                                            max_steps_per_invocation);
 }
 
 }  // namespace manimal::codegen

@@ -26,7 +26,9 @@
 #ifndef MANIMAL_CODEGEN_KERNEL_H_
 #define MANIMAL_CODEGEN_KERNEL_H_
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -83,6 +85,47 @@ struct CompileOptions {
 // cannot cover exactly.
 Result<std::shared_ptr<const NativeKernel>> CompileKernel(
     const mril::Program& program, const CompileOptions& options);
+
+// The reduce-side kernel: folds one group of an admitted reduce()
+// (FoldShape) straight off the shuffle's encoded values, building no
+// list and running no VM.
+//
+// Exactness contract, per group: Fold() either produces the
+// accumulator the VM would emit as (key, acc) for this group, or
+// returns false, in which case the caller MUST replay the group
+// through the VM, which also reproduces any error the VM would have
+// raised. Arithmetic mirrors the VM: i64 adds wrap, an f64 operand
+// promotes the sum to f64, and values fold in the order given (the
+// caller passes GroupIterator's canonical order). Fold() bails on a
+// value that would fail to decode, a term that is not a number, a
+// list.get step that would fault, and a group long enough that the VM
+// could exceed its per-invocation step limit.
+class FoldKernel {
+ public:
+  FoldKernel(FoldShape shape, int64_t max_steps_per_invocation);
+
+  bool Fold(std::span<const std::string> encoded_values, Value* acc) const;
+
+  std::string Describe() const;
+
+ private:
+  struct Num {
+    bool is_f64 = false;
+    int64_t i = 0;
+    double f = 0;
+  };
+  bool ReadTerm(std::string_view* in, size_t depth, Num* out) const;
+
+  FoldShape shape_;
+  Num constant_;
+  int64_t max_values_;  // longest group the VM provably finishes
+};
+
+// Extracts the reduce's fold shape and compiles it against the VM's
+// step limit. Returns StatusCode::kNotSupported (with a reason) for a
+// reduce the fold cannot cover exactly.
+Result<std::shared_ptr<const FoldKernel>> CompileFold(
+    const mril::Program& program, int64_t max_steps_per_invocation);
 
 }  // namespace manimal::codegen
 

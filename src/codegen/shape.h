@@ -21,6 +21,8 @@
 #ifndef MANIMAL_CODEGEN_SHAPE_H_
 #define MANIMAL_CODEGEN_SHAPE_H_
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,6 +61,38 @@ struct RelationalShape {
 // native-eligibility detail); any other code indicates an internal
 // inconsistency.
 Result<RelationalShape> ExtractShape(const mril::Program& program);
+
+// The exact semantics of one admitted reduce() — a fold:
+//   acc := init
+//   for i in [0, list.len(values)): acc := acc + term(values[i])
+//   emit(key, acc)
+// where term is the value itself (empty `path`), a constant-index
+// list.get chain into it (`path`, outermost index first), or a
+// constant (`constant_term`: a count).
+struct FoldShape {
+  Value init;                          // numeric
+  std::optional<Value> constant_term;  // numeric; set => path empty
+  std::vector<int64_t> path;
+  bool acc_on_left = true;  // bytecode operand order of the add
+  // Upper bound on the VM steps one group of n values costs:
+  // fixed_steps + n * steps_per_value. Counted in unlinked
+  // instructions, which linking only fuses or drops.
+  int64_t fixed_steps = 0;
+  int64_t steps_per_value = 0;
+
+  std::string Describe() const;
+};
+
+// Decides reduce-side admission from the analysis passes: the one
+// natural loop of reduce() must count an induction variable over
+// [0, list.len(values)) and update exactly one accumulator by a term
+// of the current value, the loop's exit test must be the only
+// conditional branch, the single emit must follow the loop and emit
+// (key, acc), there must be no side effects and no builtin other than
+// list.len / list.get, and every fault-capable instruction must feed
+// the recovered fold. Errors are StatusCode::kNotSupported with a
+// readable reason.
+Result<FoldShape> ExtractFoldShape(const mril::Program& program);
 
 }  // namespace manimal::codegen
 

@@ -73,10 +73,11 @@ class ManimalSystem {
     int replan_min_splits = 3;
 
     // ---- native codegen tier (docs/mril.md "Native kernels") ----
-    // Map-side backend for optimized submissions. kAuto additionally
-    // honors MANIMAL_BACKEND=vm|native|auto. RunBaseline always pins
-    // the VM regardless of this setting — the conventional run is the
-    // differential ground truth.
+    // Map- and reduce-side backend for optimized submissions (see
+    // exec::Backend for what each value does per phase). kAuto
+    // additionally honors MANIMAL_BACKEND=vm|native|auto. RunBaseline
+    // always pins the VM regardless of this setting — the
+    // conventional run is the differential ground truth.
     exec::Backend backend = exec::Backend::kAuto;
   };
 

@@ -396,9 +396,15 @@ class JobRunner {
   std::shared_ptr<const codegen::NativeKernel> kernel_;
   std::string map_backend_name_ = "vm";
   std::string backend_detail_;
+  // Non-null fold_ means reduce tasks fold admitted groups natively,
+  // replaying a group through a companion VM when the fold bails out.
+  std::shared_ptr<const codegen::FoldKernel> fold_;
+  std::string reduce_backend_name_ = "vm";
+  std::string reduce_backend_detail_;
   // Direct-evaluation admission summary (journaled; kept for spans).
   std::string skip_detail_;
   std::atomic<uint64_t> native_tasks_{0}, native_bailouts_{0};
+  std::atomic<uint64_t> native_reduce_tasks_{0}, reduce_bailouts_{0};
 
   // EXPLAIN ANALYZE collection (JobConfig::collect_task_stats).
   // observe_ is resolved in Prepare(): stats requested AND the
@@ -473,7 +479,8 @@ void JobRunner::RunChain(TaskControl* ctl, char kind, int index,
       journal.Event("task_start")
           .Str("job", cfg_.job_id)
           .Str("task", task)
-          .Str("backend", kind == 'm' ? map_backend_name_ : "vm")
+          .Str("backend",
+               kind == 'm' ? map_backend_name_ : reduce_backend_name_)
           .Int("chain", chain)
           .Bool("speculative", chain > 0)
           .Emit();
@@ -893,6 +900,7 @@ Result<JobRunner::CommitFn> JobRunner::ReduceAttempt(int partition,
     uint64_t groups = 0;
     uint64_t logs = 0;
     uint64_t vm_instructions = 0;
+    uint64_t bailout_groups = 0;
     double seconds = 0;
     ~AttemptState() {
       if (!committed && !attempt_path.empty()) {
@@ -912,31 +920,54 @@ Result<JobRunner::CommitFn> JobRunner::ReduceAttempt(int partition,
   }
   MANIMAL_ASSIGN_OR_RETURN(state->part,
                            PartFile::Create(state->attempt_path));
-
-  mril::VmInstance vm(&program_);
-  vm.set_log_sink([state](const Value&) { ++state->logs; });
-  vm.set_emit_sink([state](const Value& k, const Value& v) -> Status {
+  auto emit_pair = [state](const Value& k, const Value& v) -> Status {
     std::string* buf = state->part->buffer();
     MANIMAL_RETURN_IF_ERROR(EncodeValue(k, buf));
     MANIMAL_RETURN_IF_ERROR(EncodeValue(v, buf));
     return state->part->PairAdded();
-  });
+  };
+
+  // The VM: the sole reduce executor on the vm backend, the per-group
+  // bailout replayer under a fold kernel (created lazily, so a native
+  // task that never bails never builds one).
+  std::unique_ptr<mril::VmInstance> vm;
+  auto ensure_vm = [&]() -> mril::VmInstance* {
+    if (vm == nullptr) {
+      vm = std::make_unique<mril::VmInstance>(&program_);
+      vm->set_log_sink([state](const Value&) { ++state->logs; });
+      vm->set_emit_sink(emit_pair);
+    }
+    return vm.get();
+  };
 
   GroupIterator groups(stream.get());
   Value key;
-  ValueList values;
+  // One list Value reused across groups: decoding into its storage
+  // while nothing else holds it costs no allocation per group.
+  Value values = Value::List({});
   while (true) {
-    MANIMAL_ASSIGN_OR_RETURN(bool more, groups.Next(&key, &values));
+    MANIMAL_ASSIGN_OR_RETURN(bool more, groups.NextEncoded(&key));
     if (!more) break;
     if (errors_.Failed()) {
       return Status::Internal("reduce task aborted: job already failed");
     }
     ++state->groups;
-    MANIMAL_RETURN_IF_ERROR(
-        vm.InvokeReduce(key, Value::List(std::move(values))));
+    if (fold_ != nullptr) {
+      // Exactness contract (codegen/kernel.h): the fold either yields
+      // the VM's (key, acc) or bails, and the VM replays the group.
+      Value acc;
+      if (fold_->Fold(groups.encoded_values(), &acc)) {
+        MANIMAL_RETURN_IF_ERROR(emit_pair(key, acc));
+        continue;
+      }
+      ++state->bailout_groups;
+    }
+    if (!values.has_unique_list()) values = Value::List({});
+    MANIMAL_RETURN_IF_ERROR(groups.DecodeValues(&values.mutable_list()));
+    MANIMAL_RETURN_IF_ERROR(ensure_vm()->InvokeReduce(key, values));
   }
   MANIMAL_RETURN_IF_ERROR(state->part->Finish());
-  state->vm_instructions = vm.total_steps();
+  state->vm_instructions = vm != nullptr ? vm->total_steps() : 0;
   state->seconds = attempt_watch.ElapsedSeconds();
 
   return CommitFn([this, state, partition, chain, attempt]() -> Status {
@@ -946,6 +977,11 @@ Result<JobRunner::CommitFn> JobRunner::ReduceAttempt(int partition,
     // Winner-only plain write; read after the phase barrier.
     partition_groups_[partition] = state->groups;
     log_messages_.fetch_add(state->logs, std::memory_order_relaxed);
+    if (fold_ != nullptr) {
+      native_reduce_tasks_.fetch_add(1, std::memory_order_relaxed);
+      reduce_bailouts_.fetch_add(state->bailout_groups,
+                                 std::memory_order_relaxed);
+    }
     if (cfg_.collect_task_stats) {
       TaskStat stat;
       stat.kind = 'r';
@@ -1132,10 +1168,12 @@ Status JobRunner::AssembleOutput(char kind, int num_parts) {
 }
 
 // Resolves JobConfig::backend (plus the MANIMAL_BACKEND env override,
-// honored only in kAuto) into the map tier for this job. `auto` uses
-// the native kernel only when compilation succeeds — i.e. the
-// analyzer facts describe the map exactly — and silently falls back
-// to the VM otherwise, recording why in backend_detail_.
+// honored only in kAuto) into the map and reduce tiers for this job.
+// Each phase uses its native kernel only when compilation succeeds —
+// i.e. the analyzer facts describe that function exactly — and falls
+// back to the VM otherwise, recording why in *backend_detail_.
+// `native` additionally fails the job when the map is not admissible;
+// a reduce that is not admitted still falls back.
 Status JobRunner::ResolveBackend() {
   Backend requested = cfg_.backend;
   if (requested == Backend::kAuto) {
@@ -1147,7 +1185,20 @@ Status JobRunner::ResolveBackend() {
   }
   if (requested == Backend::kVm) {
     backend_detail_ = "vm requested";
+    if (has_reduce_) reduce_backend_detail_ = backend_detail_;
     return Status::OK();
+  }
+  if (has_reduce_) {
+    Result<std::shared_ptr<const codegen::FoldKernel>> fold =
+        codegen::CompileFold(program_,
+                             mril::VmOptions{}.max_steps_per_invocation);
+    if (fold.ok()) {
+      fold_ = std::move(*fold);
+      reduce_backend_name_ = "native";
+      reduce_backend_detail_ = fold_->Describe();
+    } else {
+      reduce_backend_detail_ = "vm fallback: " + fold.status().message();
+    }
   }
   codegen::CompileOptions opts;
   opts.field_remap = field_remap_;
@@ -1337,6 +1388,8 @@ Result<JobResult> JobRunner::Run() {
   result_.counters.tasks_failed = tasks_failed_.load();
   result_.counters.native_tasks = native_tasks_.load();
   result_.counters.native_bailout_records = native_bailouts_.load();
+  result_.counters.native_reduce_tasks = native_reduce_tasks_.load();
+  result_.counters.reduce_bailout_groups = reduce_bailouts_.load();
   result_.counters.bytes_decoded = bytes_decoded_.load();
   result_.counters.blocks_skipped = blocks_skipped_.load();
   obs::MetricsRegistry::Get()
@@ -1347,6 +1400,10 @@ Result<JobResult> JobRunner::Run() {
       ->Add(result_.counters.blocks_skipped);
   result_.backend = map_backend_name_;
   result_.backend_detail = backend_detail_;
+  if (has_reduce_) {
+    result_.reduce_backend = reduce_backend_name_;
+    result_.reduce_backend_detail = reduce_backend_detail_;
+  }
 
   result_.phase_breakdown["map"].bytes =
       result_.counters.input_bytes + result_.counters.map_output_bytes;

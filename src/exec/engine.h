@@ -38,11 +38,13 @@ struct ReplanTarget {
 using ReplanFn =
     std::function<std::optional<ReplanTarget>(double observed_selectivity)>;
 
-// Which execution tier runs the map function (docs/mril.md "Native
-// kernels"). kAuto compiles a native kernel when the analyzer facts
-// are exact (codegen::ExtractShape admits the program) and silently
-// falls back to the VM otherwise; kNative fails the job when the
-// program is not admissible; kVm never probes the native tier.
+// Which execution tier runs the map and reduce functions (docs/mril.md
+// "Native kernels"). kAuto compiles a native kernel for each phase
+// whose analyzer facts are exact (codegen::ExtractShape /
+// ExtractFoldShape admit it) and silently falls back to the VM
+// otherwise; kNative also fails the job when the map is not
+// admissible (an unadmitted reduce still falls back); kVm never
+// probes the native tier.
 enum class Backend {
   kAuto = 0,
   kVm,
@@ -157,9 +159,9 @@ struct JobConfig {
   // ---- execution backend (docs/mril.md "Native kernels") ----
   // kAuto additionally honors the MANIMAL_BACKEND env var
   // (vm|native|auto); an explicit kVm / kNative here always wins over
-  // the environment. The resolved choice is recorded on JobResult,
-  // every task_start journal event, and the engine.native_tasks
-  // counter.
+  // the environment. The resolved choice per phase is recorded on
+  // JobResult, every task_start journal event, and JobCounters (the
+  // map's also on the engine.native_tasks counter).
   Backend backend = Backend::kAuto;
 };
 
@@ -196,6 +198,10 @@ struct JobCounters {
   // replayed through the VM because the kernel bailed out.
   uint64_t native_tasks = 0;
   uint64_t native_bailout_records = 0;
+  // Committed reduce tasks that ran the fold kernel, and groups those
+  // tasks replayed through the VM because the fold bailed out.
+  uint64_t native_reduce_tasks = 0;
+  uint64_t reduce_bailout_groups = 0;
 };
 
 // One named phase of a job's wall time, with the bytes that phase
@@ -282,6 +288,10 @@ struct JobResult {
   // description, or the admission-gate reason behind a vm fallback.
   std::string backend;
   std::string backend_detail;
+  // The same for the reduce phase: the fold kernel description, or
+  // why the reduce runs on the VM. Empty for map-only jobs.
+  std::string reduce_backend;
+  std::string reduce_backend_detail;
 };
 
 // Runs the job described by `descriptor` under `config`.

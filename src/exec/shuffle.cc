@@ -186,10 +186,17 @@ Shuffle::Stats Shuffle::stats() const {
 // ---------------- GroupIterator ----------------
 
 Result<bool> GroupIterator::Next(Value* key, ValueList* values) {
+  MANIMAL_ASSIGN_OR_RETURN(bool more, NextEncoded(key));
+  if (!more) return false;
+  MANIMAL_RETURN_IF_ERROR(DecodeValues(values));
+  return true;
+}
+
+Result<bool> GroupIterator::NextEncoded(Value* key) {
   if (!stream_->Valid()) return false;
   group_key_.assign(stream_->key());
-  // The pooled strings beyond `n` keep their capacity for the next
-  // group — no per-value allocation once the pool is warm.
+  // The pooled strings beyond the group keep their capacity for the
+  // next group — no per-value allocation once the pool is warm.
   size_t n = 0;
   while (stream_->Valid() && stream_->key() == group_key_) {
     if (n == encoded_values_.size()) encoded_values_.emplace_back();
@@ -197,16 +204,21 @@ Result<bool> GroupIterator::Next(Value* key, ValueList* values) {
     MANIMAL_RETURN_IF_ERROR(stream_->Next());
   }
   std::sort(encoded_values_.begin(), encoded_values_.begin() + n);
+  group_size_ = n;
+  MANIMAL_RETURN_IF_ERROR(DecodeOrderedKey(group_key_, key));
+  return true;
+}
+
+Status GroupIterator::DecodeValues(ValueList* values) const {
   values->clear();
-  values->reserve(n);
-  for (size_t i = 0; i < n; ++i) {
+  values->reserve(group_size_);
+  for (size_t i = 0; i < group_size_; ++i) {
     std::string_view in = encoded_values_[i];
     Value v;
     MANIMAL_RETURN_IF_ERROR(DecodeValue(&in, &v));
     values->push_back(std::move(v));
   }
-  MANIMAL_RETURN_IF_ERROR(DecodeOrderedKey(group_key_, key));
-  return true;
+  return Status::OK();
 }
 
 }  // namespace manimal::exec

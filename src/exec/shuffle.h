@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -137,10 +138,20 @@ class GroupIterator {
   // Fills *key (decoded group key) and *values; false at end.
   Result<bool> Next(Value* key, ValueList* values);
 
+  // Next() without decoding the values: they stay encoded, in
+  // canonical order, in encoded_values() until the following call.
+  Result<bool> NextEncoded(Value* key);
+  std::span<const std::string> encoded_values() const {
+    return {encoded_values_.data(), group_size_};
+  }
+  // Decodes the current group's values into *values (cleared first).
+  Status DecodeValues(ValueList* values) const;
+
  private:
   index::SortedStream* const stream_;
   std::string group_key_;
   std::vector<std::string> encoded_values_;  // reused across groups
+  size_t group_size_ = 0;
 };
 
 }  // namespace manimal::exec

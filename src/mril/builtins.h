@@ -72,7 +72,7 @@ class BuiltinRegistry {
 // invalidation.
 void InvalidateBorrowedStringMemos();
 
-// A mutable string->Value map object, reachable from MRIL code through
+// A mutable Value->Value map object, reachable from MRIL code through
 // kHandle values (the Java Hashtable stand-in).
 class HashtableObject : public ObjectHandle {
  public:
@@ -86,8 +86,8 @@ class HashtableObject : public ObjectHandle {
   int64_t Size() const { return static_cast<int64_t>(entries_.size()); }
 
  private:
-  // Keyed by Value::ToString() of the key (scalar keys only in
-  // practice).
+  // Insertion-ordered (key, value) pairs, searched linearly with
+  // Value::operator== (tables stay per-record small in practice).
   std::vector<std::pair<Value, Value>> entries_;
 };
 

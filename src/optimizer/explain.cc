@@ -161,6 +161,8 @@ ExplainReport MakeExplainReport(const Plan& plan,
   report.reported_seconds = result.reported_seconds;
   report.backend = result.backend;
   report.backend_detail = result.backend_detail;
+  report.reduce_backend = result.reduce_backend;
+  report.reduce_backend_detail = result.reduce_backend_detail;
   return report;
 }
 
@@ -242,6 +244,17 @@ std::string ExplainReport::ToText() const {
                      static_cast<unsigned long long>(
                          counters.native_bailout_records));
     out += "\n";
+  }
+  if (!reduce_backend.empty()) {
+    out += "  reduce backend: " + reduce_backend;
+    if (!reduce_backend_detail.empty()) {
+      out += " (" + reduce_backend_detail + ")";
+    }
+    out += StrPrintf(" native_reduce_tasks=%llu bailout_groups=%llu\n",
+                     static_cast<unsigned long long>(
+                         counters.native_reduce_tasks),
+                     static_cast<unsigned long long>(
+                         counters.reduce_bailout_groups));
   }
   out += StrPrintf("  time: wall=%.3fs reported=%.3fs\n", wall_seconds,
                    reported_seconds);
@@ -400,6 +413,13 @@ std::string ExplainReport::ToJson() const {
         out += ",\"backend_detail\":" + JsonQuote(backend_detail);
       }
     }
+    if (!reduce_backend.empty()) {
+      out += ",\"reduce_backend\":" + JsonQuote(reduce_backend);
+      if (!reduce_backend_detail.empty()) {
+        out += ",\"reduce_backend_detail\":" +
+               JsonQuote(reduce_backend_detail);
+      }
+    }
     out += ",\"wall_seconds\":" + JsonNumber(wall_seconds);
     out += ",\"reported_seconds\":" + JsonNumber(reported_seconds);
     out += ",\"phases\":{";
@@ -428,6 +448,10 @@ std::string ExplainReport::ToJson() const {
     out += ",\"native_tasks\":" + std::to_string(counters.native_tasks);
     out += ",\"native_bailout_records\":" +
            std::to_string(counters.native_bailout_records);
+    out += ",\"native_reduce_tasks\":" +
+           std::to_string(counters.native_reduce_tasks);
+    out += ",\"reduce_bailout_groups\":" +
+           std::to_string(counters.reduce_bailout_groups);
     out += ",\"bytes_decoded\":" + std::to_string(counters.bytes_decoded);
     out += ",\"blocks_skipped\":" +
            std::to_string(counters.blocks_skipped);

@@ -143,6 +143,10 @@ struct ExplainReport {
   // the kernel description / fallback reason (JobResult::backend).
   std::string backend;
   std::string backend_detail;
+  // The same for the reduce phase (JobResult::reduce_backend); empty
+  // for map-only jobs.
+  std::string reduce_backend;
+  std::string reduce_backend_detail;
 
   // Multi-line human-readable rendering.
   std::string ToText() const;

@@ -15,11 +15,13 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "analyzer/analyzer.h"
 #include "analyzer/index_gen.h"
+#include "codegen/shape.h"
 #include "common/env.h"
 #include "common/faulty_env.h"
 #include "core/manimal.h"
@@ -174,6 +176,11 @@ class DifferentialHarness : public ::testing::Test {
           << ") changed the output multiset";
     }
   }
+
+  // Defined with the reduce-fold legs below.
+  void ExpectFoldJobMatchesBaseline(const mril::Program& program,
+                                    const TempDir& scratch,
+                                    exec::Backend backend);
 
   static TempDir* dir_;
 };
@@ -355,6 +362,225 @@ TEST_F(DifferentialHarness, ExplicitNativeBackendRunsAdmittedMap) {
   ASSERT_OK_AND_ASSIGN(auto pairs,
                        exec::ReadCanonicalPairs(job.output_path));
   EXPECT_EQ(pairs, canonical);
+}
+
+// ---------------------------------------------------------------
+// Reduce-fold legs: jobs whose reduce() the fold kernel admits must
+// reproduce RunBaseline's output — or its exact error, when the fold
+// bails and the VM replay raises it — under `auto`, `native` and fault
+// injection, with the fold actually running the reduce tasks. Every
+// map here is admissible, so `native` (also via MANIMAL_BACKEND)
+// compiles both phases.
+
+// emit(v.rank % 13, <value>), then acc := init; for each value:
+// acc := acc + value[path...]; emit(key, acc).
+mril::Program FoldJob(const std::string& name,
+                      const std::function<void(mril::FunctionBuilder&)>&
+                          push_value,
+                      Value init = Value::I64(0),
+                      const std::vector<int64_t>& path = {}) {
+  mril::ProgramBuilder b(name);
+  b.SetKeyType(FieldType::kI64);
+  b.SetValueSchema(workloads::WebPagesSchema());
+  mril::FunctionBuilder& m = b.Map();
+  m.LoadParam(1).GetField("rank").LoadI64(13).Mod();
+  push_value(m);
+  m.Emit().Ret();
+  mril::FunctionBuilder& r = b.Reduce();
+  const int i = r.NewLocal();
+  const int n = r.NewLocal();
+  const int acc = r.NewLocal();
+  r.LoadI64(0).StoreLocal(i);
+  r.LoadConst(init).StoreLocal(acc);
+  r.LoadParam(1).Call("list.len").StoreLocal(n);
+  r.Label("loop");
+  r.LoadLocal(i).LoadLocal(n).CmpGe().JmpIfTrue("done");
+  r.LoadLocal(acc).LoadParam(1).LoadLocal(i).Call("list.get");
+  for (int64_t k : path) r.LoadI64(k).Call("list.get");
+  r.Add().StoreLocal(acc);
+  r.LoadLocal(i).LoadI64(1).Add().StoreLocal(i);
+  r.Jmp("loop");
+  r.Label("done");
+  r.LoadParam(0).LoadLocal(acc).Emit().Ret();
+  return b.Build();
+}
+
+void PushRank(mril::FunctionBuilder& m) {
+  m.LoadParam(1).GetField("rank");
+}
+
+// Jobs the fold completes: i64 sums that overflow, f64 sums whose
+// rounding depends on order, f64 init over i64 values, and a sum of
+// one field of each emitted record.
+std::vector<mril::Program> FoldingJobs() {
+  return {
+      FoldJob("fold-i64-overflow",
+              [](mril::FunctionBuilder& m) {
+                PushRank(m);
+                m.LoadI64(int64_t{1} << 61).Mul();
+              }),
+      FoldJob("fold-f64-order",
+              [](mril::FunctionBuilder& m) {
+                PushRank(m);
+                PushRank(m);
+                m.Mul().LoadF64(1.000001e9).Mul();
+              }),
+      FoldJob("fold-f64-init", PushRank, Value::F64(0.5)),
+      FoldJob("fold-record-field",
+              [](mril::FunctionBuilder& m) { m.LoadParam(1); },
+              Value::I64(0), {workloads::kWpRank}),
+  };
+}
+
+// Jobs whose every group makes the fold bail and the VM fail: a
+// string value, and a list.get past the end of each record.
+std::vector<mril::Program> FailingFoldJobs() {
+  return {
+      FoldJob("fold-string",
+              [](mril::FunctionBuilder& m) {
+                m.LoadParam(1).GetField("url");
+              }),
+      FoldJob("fold-record-out-of-range",
+              [](mril::FunctionBuilder& m) { m.LoadParam(1); },
+              Value::I64(0), {7}),
+  };
+}
+
+void DifferentialHarness::ExpectFoldJobMatchesBaseline(
+    const mril::Program& program, const TempDir& scratch,
+    exec::Backend backend) {
+  SCOPED_TRACE(program.name);
+  ASSERT_OK(mril::VerifyProgram(program));
+  ASSERT_OK(codegen::ExtractFoldShape(program).status());
+  const std::string tag = program.name + "-" + exec::BackendName(backend);
+  core::ManimalSystem::Submission job;
+  job.program = program;
+  job.input_path = input_path();
+
+  ASSERT_OK_AND_ASSIGN(auto baseline_system,
+                       core::ManimalSystem::Open(SystemOptions(
+                           scratch.file(tag + "-ws-baseline"))));
+  job.output_path = scratch.file(tag + "-baseline.prs");
+  Result<exec::JobResult> baseline = baseline_system->RunBaseline(job);
+
+  core::ManimalSystem::Options options =
+      SystemOptions(scratch.file(tag + "-ws"));
+  options.backend = backend;
+  ASSERT_OK_AND_ASSIGN(auto system, core::ManimalSystem::Open(options));
+  job.output_path = scratch.file(tag + ".prs");
+  auto outcome = system->Submit(job);
+  if (!baseline.ok()) {
+    ASSERT_FALSE(outcome.ok()) << "baseline failed with "
+                               << baseline.status().ToString();
+    EXPECT_EQ(outcome.status().ToString(), baseline.status().ToString());
+    return;
+  }
+  ASSERT_OK(outcome.status());
+  EXPECT_EQ(outcome->job.reduce_backend, "native")
+      << outcome->job.reduce_backend_detail;
+  EXPECT_GE(outcome->job.counters.native_reduce_tasks, 1u);
+  EXPECT_EQ(outcome->job.counters.reduce_bailout_groups, 0u);
+  ASSERT_OK_AND_ASSIGN(auto expected,
+                       exec::ReadCanonicalPairs(
+                           scratch.file(tag + "-baseline.prs")));
+  ASSERT_OK_AND_ASSIGN(auto pairs, exec::ReadCanonicalPairs(job.output_path));
+  EXPECT_FALSE(expected.empty());
+  EXPECT_EQ(pairs, expected);
+}
+
+TEST_F(DifferentialHarness, ReduceFoldMatchesBaselineUnderAuto) {
+  TempDir scratch("diff-fold-auto");
+  for (const mril::Program& program : FoldingJobs()) {
+    ExpectFoldJobMatchesBaseline(program, scratch, exec::Backend::kAuto);
+  }
+  for (const mril::Program& program : FailingFoldJobs()) {
+    ExpectFoldJobMatchesBaseline(program, scratch, exec::Backend::kAuto);
+  }
+}
+
+TEST_F(DifferentialHarness, ReduceFoldMatchesBaselineUnderNative) {
+  TempDir scratch("diff-fold-native");
+  for (const mril::Program& program : FoldingJobs()) {
+    ExpectFoldJobMatchesBaseline(program, scratch, exec::Backend::kNative);
+  }
+  for (const mril::Program& program : FailingFoldJobs()) {
+    ExpectFoldJobMatchesBaseline(program, scratch, exec::Backend::kNative);
+  }
+}
+
+TEST_F(DifferentialHarness, ReduceFoldMatchesBaselineUnderFaultInjection) {
+  FaultyEnv::Config defaults;
+  defaults.seed = 3;
+  defaults.rate = 0.02;
+  const FaultyEnv::Config config = FaultyEnv::ConfigFromEnv(defaults);
+  ASSERT_GT(config.rate, 0.0);
+  TempDir scratch("diff-fold-fault");
+  ScopedFaultInjection inject(config);
+  for (const mril::Program& program : FoldingJobs()) {
+    ExpectFoldJobMatchesBaseline(program, scratch, exec::Backend::kAuto);
+  }
+  const FaultyEnv::Stats stats = FaultyEnv::Get().stats();
+  EXPECT_GT(stats.injected, 0u)
+      << "fault schedule never fired; raise MANIMAL_FAULT_RATE";
+}
+
+// The per-phase decision is visible: the job result and both EXPLAIN
+// ANALYZE renderings name the reduce backend; `vm` pins both phases;
+// a reduce the fold does not admit falls back even under `native`.
+TEST_F(DifferentialHarness, ReduceFoldBackendIsVisible) {
+  TempDir scratch("diff-fold-visible");
+  auto submit = [&](const mril::Program& program, exec::Backend backend,
+                    const std::string& tag) {
+    core::ManimalSystem::Options options =
+        SystemOptions(scratch.file(tag + "-ws"));
+    options.backend = backend;
+    options.explain = optimizer::ExplainMode::kAnalyze;
+    auto system = core::ManimalSystem::Open(options);
+    EXPECT_OK(system.status());
+    core::ManimalSystem::Submission job;
+    job.program = program;
+    job.input_path = input_path();
+    job.output_path = scratch.file(tag + ".prs");
+    return (*system)->Submit(job);
+  };
+  const mril::Program folding = FoldingJobs()[0];
+
+  ASSERT_OK_AND_ASSIGN(auto native,
+                       submit(folding, exec::Backend::kAuto, "auto"));
+  EXPECT_EQ(native.job.reduce_backend, "native");
+  EXPECT_NE(native.job.reduce_backend_detail.find("fold kernel"),
+            std::string::npos);
+  ASSERT_TRUE(native.explain.has_value());
+  EXPECT_EQ(native.explain->reduce_backend, "native");
+  EXPECT_GE(native.explain->counters.native_reduce_tasks, 1u);
+  EXPECT_NE(native.explain->ToText().find("reduce backend: native"),
+            std::string::npos)
+      << native.explain->ToText();
+  EXPECT_NE(native.explain->ToJson().find("\"reduce_backend\":\"native\""),
+            std::string::npos);
+
+  ASSERT_OK_AND_ASSIGN(auto vm, submit(folding, exec::Backend::kVm, "vm"));
+  EXPECT_EQ(vm.job.backend, "vm");
+  EXPECT_EQ(vm.job.reduce_backend, "vm");
+  EXPECT_EQ(vm.job.reduce_backend_detail, "vm requested");
+  EXPECT_EQ(vm.job.counters.native_reduce_tasks, 0u);
+
+  // emit(key, list.len(values)) counts without a loop: not a fold.
+  mril::ProgramBuilder b("count-by-len");
+  b.SetKeyType(FieldType::kI64);
+  b.SetValueSchema(workloads::WebPagesSchema());
+  mril::FunctionBuilder& m = b.Map();
+  m.LoadParam(1).GetField("rank").LoadI64(13).Mod();
+  PushRank(m);
+  m.Emit().Ret();
+  b.Reduce().LoadParam(0).LoadParam(1).Call("list.len").Emit().Ret();
+  ASSERT_OK_AND_ASSIGN(auto fallback,
+                       submit(b.Build(), exec::Backend::kNative, "len"));
+  EXPECT_EQ(fallback.job.backend, "native");
+  EXPECT_EQ(fallback.job.reduce_backend, "vm");
+  EXPECT_EQ(fallback.job.reduce_backend_detail,
+            "vm fallback: no loop over the values");
+  EXPECT_EQ(fallback.job.counters.native_reduce_tasks, 0u);
 }
 
 // ---------------------------------------------------------------
