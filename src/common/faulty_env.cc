@@ -3,7 +3,7 @@
 #include <cstdlib>
 
 #include "common/env.h"
-#include "obs/journal.h"
+#include "obs/event.h"
 
 namespace manimal {
 
@@ -116,13 +116,8 @@ Status FaultyEnv::Evaluate(FaultOp op, const std::string& path,
   if (!fire) return Status::OK();
   ++stats_.injected;
   *decision = Mix64(config_.seed ^ stats_.evaluated);
-  obs::Journal::Get()
-      .Event("fault_injected")
-      .Str("op", FaultOpName(op))
-      .Str("path", path)
-      .Uint("site_ordinal", stats_.evaluated)
-      .Uint("injected_so_far", stats_.injected)
-      .Emit();
+  obs::Emit<obs::kFaultInjected>(FaultOpName(op), path, stats_.evaluated,
+                                 stats_.injected);
   return Status::IOError("injected fault: " +
                          std::string(FaultOpName(op)) + " " + path);
 }

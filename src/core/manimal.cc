@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/strings.h"
+#include "obs/event.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -25,6 +26,7 @@ void AppendLine(const std::string& path, const std::string& line) {
 }  // namespace
 
 std::string ManimalSystem::DumpMetricsJson() {
+  obs::RegisterEventCounters();
   return obs::MetricsRegistry::Get().DumpJson();
 }
 
@@ -163,7 +165,6 @@ Result<ManimalSystem::SubmitOutcome> ManimalSystem::SubmitWithReport(
       exec::ReplanTarget target;
       target.tree_path = d.data_path;
       target.intervals = d.intervals;
-      target.explanation = replanned->explanation;
       return target;
     };
   }

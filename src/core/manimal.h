@@ -177,8 +177,9 @@ class ManimalSystem {
   const Options& options() const { return options_; }
 
   // JSON snapshot of the process-wide telemetry registry (counters,
-  // gauges, histograms) accumulated across every job this process ran.
-  // See docs/observability.md for the metric naming scheme.
+  // gauges, histograms) accumulated across every job this process ran;
+  // every run-event counter is listed, at zero if its event never
+  // fired. See docs/observability.md for the metric naming scheme.
   static std::string DumpMetricsJson();
 
  private:

@@ -24,7 +24,7 @@
 #include "exec/shuffle.h"
 #include "mril/verifier.h"
 #include "mril/vm.h"
-#include "obs/journal.h"
+#include "obs/event.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serde/key_codec.h"
@@ -301,7 +301,9 @@ class JobRunner {
       : descriptor_(descriptor),
         cfg_(std::move(cfg)),
         program_(descriptor.program),
-        has_reduce_(descriptor.program.has_reduce()) {}
+        has_reduce_(descriptor.program.has_reduce()),
+        native_tasks_metric_(obs::MetricsRegistry::Get().GetCounter(
+            "engine.native_tasks")) {}
 
   Result<JobResult> Run();
 
@@ -349,6 +351,13 @@ class JobRunner {
   void Backoff(int attempt) const;
   void RecordTaskStat(const TaskStat& stat,
                       const std::vector<uint64_t>& interval_matches);
+  // Adds a committed attempt's counts (the per-record and per-task
+  // ones; Prepare, Run, RunChain and the monitor set the rest).
+  void MergeCounters(const JobCounters& delta);
+  void Increment(uint64_t JobCounters::*counter) {
+    std::lock_guard<std::mutex> lock(counters_mu_);
+    ++(result_.counters.*counter);
+  }
 
   std::string PartPath(char kind, int idx) const {
     return cfg_.temp_dir + "/" + StrPrintf("part-%c%04d", kind, idx);
@@ -370,7 +379,11 @@ class JobRunner {
 
   std::deque<TaskControl> map_tasks_;
   std::deque<TaskControl> reduce_tasks_;
-  std::vector<uint64_t> partition_groups_;
+
+  // Guards result_.counters while the phases run: winning commits
+  // merge their attempt's counts, chains and the monitor add theirs.
+  std::mutex counters_mu_;
+  obs::Counter* const native_tasks_metric_;  // engine.native_tasks
 
   // Completed map-chain durations feed the speculation threshold.
   std::mutex durations_mu_;
@@ -381,13 +394,6 @@ class JobRunner {
   // from the workers.
   std::mutex monitor_mu_;
   std::condition_variable monitor_cv_;
-
-  std::atomic<uint64_t> input_records_{0}, input_bytes_{0},
-      map_invocations_{0}, map_output_records_{0}, map_output_bytes_{0},
-      map_output_filtered_{0}, log_messages_{0};
-  std::atomic<uint64_t> bytes_decoded_{0}, blocks_skipped_{0};
-  std::atomic<uint64_t> task_retries_{0}, speculative_launches_{0},
-      tasks_failed_{0};
 
   // ---- native backend (JobConfig::backend, docs/mril.md) ----
   // Resolved in Prepare(): non-null kernel_ means map tasks run the
@@ -401,10 +407,6 @@ class JobRunner {
   std::shared_ptr<const codegen::FoldKernel> fold_;
   std::string reduce_backend_name_ = "vm";
   std::string reduce_backend_detail_;
-  // Direct-evaluation admission summary (journaled; kept for spans).
-  std::string skip_detail_;
-  std::atomic<uint64_t> native_tasks_{0}, native_bailouts_{0};
-  std::atomic<uint64_t> native_reduce_tasks_{0}, reduce_bailouts_{0};
 
   // EXPLAIN ANALYZE collection (JobConfig::collect_task_stats).
   // observe_ is resolved in Prepare(): stats requested AND the
@@ -448,8 +450,6 @@ void JobRunner::Backoff(int attempt) const {
 
 void JobRunner::RunChain(TaskControl* ctl, char kind, int index,
                          int chain, const AttemptFn& attempt_fn) {
-  auto& metrics = obs::MetricsRegistry::Get();
-  auto& journal = obs::Journal::Get();
   const std::string task = TaskId(kind, index);
   const char* attempt_span_name =
       kind == 'm' ? "map_task_attempt" : "reduce_task_attempt";
@@ -460,30 +460,15 @@ void JobRunner::RunChain(TaskControl* ctl, char kind, int index,
       return;
     }
     if (attempt > 1) {
-      task_retries_.fetch_add(1, std::memory_order_relaxed);
-      metrics.GetCounter("engine.task_retries")->Increment();
-      obs::TraceInstant("engine.task_retry", "exec",
-                        {{"task", task},
-                         {"chain", std::to_string(chain)},
-                         {"attempt", std::to_string(attempt)},
-                         {"error", last.ToString()}});
-      journal.Event("task_retry")
-          .Str("job", cfg_.job_id)
-          .Str("task", task)
-          .Int("chain", chain)
-          .Int("attempt", attempt)
-          .Str("error", last.ToString())
-          .Emit();
+      Increment(&JobCounters::task_retries);
+      obs::Emit<obs::kTaskRetry>(cfg_.job_id, task, chain, attempt,
+                                 last.ToString());
       Backoff(attempt);
     } else {
-      journal.Event("task_start")
-          .Str("job", cfg_.job_id)
-          .Str("task", task)
-          .Str("backend",
-               kind == 'm' ? map_backend_name_ : reduce_backend_name_)
-          .Int("chain", chain)
-          .Bool("speculative", chain > 0)
-          .Emit();
+      obs::Emit<obs::kTaskStart>(
+          cfg_.job_id, task,
+          kind == 'm' ? map_backend_name_ : reduce_backend_name_, chain,
+          chain > 0);
     }
     // One span per attempt (the enclosing map_task / reduce_task span
     // covers the whole chain): retries and speculative twins become
@@ -516,12 +501,7 @@ void JobRunner::RunChain(TaskControl* ctl, char kind, int index,
     if (commit_status.ok()) {
       ctl->done.store(true, std::memory_order_release);
       ctl->resolved.store(true, std::memory_order_release);
-      journal.Event("task_commit")
-          .Str("job", cfg_.job_id)
-          .Str("task", task)
-          .Int("chain", chain)
-          .Int("attempt", attempt)
-          .Emit();
+      obs::Emit<obs::kTaskCommit>(cfg_.job_id, task, chain, attempt);
       return;
     }
     // Release the gate so the twin (if any) may commit instead.
@@ -531,17 +511,30 @@ void JobRunner::RunChain(TaskControl* ctl, char kind, int index,
   }
   if (!ctl->done.load(std::memory_order_acquire) &&
       !ctl->resolved.exchange(true, std::memory_order_acq_rel)) {
-    tasks_failed_.fetch_add(1, std::memory_order_relaxed);
-    metrics.GetCounter("engine.tasks_failed")->Increment();
-    journal.Event("task_failed")
-        .Str("job", cfg_.job_id)
-        .Str("task", task)
-        .Int("chain", chain)
-        .Str("error", last.ToString())
-        .Emit();
+    Increment(&JobCounters::tasks_failed);
+    obs::Emit<obs::kTaskFailed>(cfg_.job_id, task, chain, last.ToString());
     errors_.Set(last.ok() ? Status::Internal("task failed without status")
                           : last);
   }
+}
+
+void JobRunner::MergeCounters(const JobCounters& delta) {
+  std::lock_guard<std::mutex> lock(counters_mu_);
+  JobCounters& c = result_.counters;
+  c.input_records += delta.input_records;
+  c.input_bytes += delta.input_bytes;
+  c.bytes_decoded += delta.bytes_decoded;
+  c.blocks_skipped += delta.blocks_skipped;
+  c.map_invocations += delta.map_invocations;
+  c.map_output_records += delta.map_output_records;
+  c.map_output_bytes += delta.map_output_bytes;
+  c.map_output_filtered += delta.map_output_filtered;
+  c.reduce_groups += delta.reduce_groups;
+  c.log_messages += delta.log_messages;
+  c.native_tasks += delta.native_tasks;
+  c.native_bailout_records += delta.native_bailout_records;
+  c.native_reduce_tasks += delta.native_reduce_tasks;
+  c.reduce_bailout_groups += delta.reduce_bailout_groups;
 }
 
 void JobRunner::RecordTaskStat(
@@ -567,15 +560,8 @@ Result<JobRunner::CommitFn> JobRunner::MapAttempt(int split_index,
     std::string attempt_path;
     std::string canonical_path;
     bool committed = false;
-    uint64_t records = 0;
-    uint64_t map_invocations = 0;
-    uint64_t output_records = 0;
-    uint64_t output_bytes = 0;
-    uint64_t output_filtered = 0;
-    uint64_t logs = 0;
+    JobCounters counters;  // merged into the job's on commit
     uint64_t vm_instructions = 0;
-    uint64_t native_bailouts = 0;
-    bool used_native = false;
     double seconds = 0;
     std::vector<uint64_t> interval_matches;
     ~AttemptState() {
@@ -628,18 +614,19 @@ Result<JobRunner::CommitFn> JobRunner::MapAttempt(int split_index,
           return Status::Internal("non-boolean reduce filter term");
         }
         if (verdict.bool_value() != term.polarity) {
-          ++state->output_filtered;
+          ++state->counters.map_output_filtered;
           return Status::OK();
         }
       }
     }
-    ++state->output_records;
+    ++state->counters.map_output_records;
     if (has_reduce_) {
       key_scratch.clear();
       MANIMAL_RETURN_IF_ERROR(EncodeOrderedKey(k, &key_scratch));
       value_scratch.clear();
       MANIMAL_RETURN_IF_ERROR(EncodeValue(v, &value_scratch));
-      state->output_bytes += key_scratch.size() + value_scratch.size();
+      state->counters.map_output_bytes +=
+          key_scratch.size() + value_scratch.size();
       int p = static_cast<int>(k.Hash() % num_partitions);
       // Lock-free: this attempt's private partition buffer.
       return state->mapper->Add(p, key_scratch, value_scratch);
@@ -649,7 +636,7 @@ Result<JobRunner::CommitFn> JobRunner::MapAttempt(int split_index,
     const size_t before = buf->size();
     MANIMAL_RETURN_IF_ERROR(EncodeValue(k, buf));
     MANIMAL_RETURN_IF_ERROR(EncodeValue(v, buf));
-    state->output_bytes += buf->size() - before;
+    state->counters.map_output_bytes += buf->size() - before;
     return state->part->PairAdded();
   };
 
@@ -662,7 +649,8 @@ Result<JobRunner::CommitFn> JobRunner::MapAttempt(int split_index,
   auto ensure_vm = [&]() -> mril::VmInstance* {
     if (vm == nullptr) {
       vm = std::make_unique<mril::VmInstance>(&program_, vm_options);
-      vm->set_log_sink([state](const Value&) { ++state->logs; });
+      vm->set_log_sink(
+          [state](const Value&) { ++state->counters.log_messages; });
       vm->set_emit_sink(emit_pair);
     }
     return vm.get();
@@ -687,7 +675,7 @@ Result<JobRunner::CommitFn> JobRunner::MapAttempt(int split_index,
     if (errors_.Failed()) {
       return Status::Internal("map task aborted: job already failed");
     }
-    ++state->records;
+    ++state->counters.input_records;
     if (observe_) {
       Result<Value> index_key = analyzer::EvalExpr(
           descriptor_.observe_expr, Value::I64(key), value);
@@ -709,7 +697,7 @@ Result<JobRunner::CommitFn> JobRunner::MapAttempt(int split_index,
           kernel_->Run(Value::I64(key), value, &kernel_scratch,
                        &out_key, &out_value);
       if (outcome == codegen::KernelOutcome::kBailout) {
-        ++state->native_bailouts;
+        ++state->counters.native_bailout_records;
         MANIMAL_RETURN_IF_ERROR(
             ensure_vm()->InvokeMap(Value::I64(key), value));
       } else {
@@ -729,19 +717,19 @@ Result<JobRunner::CommitFn> JobRunner::MapAttempt(int split_index,
   if (state->part != nullptr) {
     MANIMAL_RETURN_IF_ERROR(state->part->Finish());
   }
-  state->used_native = use_native;
-  state->map_invocations =
+  state->counters.native_tasks = use_native ? 1 : 0;
+  state->counters.map_invocations =
       kernel_handled +
       (vm != nullptr ? static_cast<uint64_t>(vm->map_invocations()) : 0);
+  state->counters.input_bytes = split->bytes_read();
+  state->counters.bytes_decoded = split->bytes_decoded();
+  state->counters.blocks_skipped = split->blocks_skipped();
   state->vm_instructions =
       vm != nullptr ? static_cast<uint64_t>(vm->total_steps()) : 0;
   state->seconds = attempt_watch.ElapsedSeconds();
-  const uint64_t split_bytes = split->bytes_read();
-  const uint64_t split_decoded = split->bytes_decoded();
-  const uint64_t split_skipped = split->blocks_skipped();
 
-  return CommitFn([this, state, split_bytes, split_decoded, split_skipped,
-                   split_index, chain, attempt]() -> Status {
+  return CommitFn([this, state, split_index, chain,
+                   attempt]() -> Status {
     if (state->part != nullptr) {
       MANIMAL_RETURN_IF_ERROR(
           RenameFile(state->attempt_path, state->canonical_path));
@@ -753,37 +741,19 @@ Result<JobRunner::CommitFn> JobRunner::MapAttempt(int split_index,
       MANIMAL_RETURN_IF_ERROR(state->mapper->Seal());
     }
     state->committed = true;
-    input_records_.fetch_add(state->records, std::memory_order_relaxed);
-    input_bytes_.fetch_add(split_bytes, std::memory_order_relaxed);
-    bytes_decoded_.fetch_add(split_decoded, std::memory_order_relaxed);
-    blocks_skipped_.fetch_add(split_skipped, std::memory_order_relaxed);
-    map_invocations_.fetch_add(state->map_invocations,
-                               std::memory_order_relaxed);
-    map_output_records_.fetch_add(state->output_records,
-                                  std::memory_order_relaxed);
-    map_output_bytes_.fetch_add(state->output_bytes,
-                                std::memory_order_relaxed);
-    map_output_filtered_.fetch_add(state->output_filtered,
-                                   std::memory_order_relaxed);
-    log_messages_.fetch_add(state->logs, std::memory_order_relaxed);
-    if (state->used_native) {
-      native_tasks_.fetch_add(1, std::memory_order_relaxed);
-      native_bailouts_.fetch_add(state->native_bailouts,
-                                 std::memory_order_relaxed);
-      obs::MetricsRegistry::Get()
-          .GetCounter("engine.native_tasks")
-          ->Increment();
-    }
+    MergeCounters(state->counters);
+    native_tasks_metric_->Add(
+        static_cast<int64_t>(state->counters.native_tasks));
     if (cfg_.collect_task_stats) {
       TaskStat stat;
       stat.kind = 'm';
       stat.index = split_index;
       stat.chain = chain;
       stat.attempt = attempt;
-      stat.records_in = state->records;
-      stat.records_out = state->output_records;
-      stat.bytes_read = split_bytes;
-      stat.bytes_written = state->output_bytes;
+      stat.records_in = state->counters.input_records;
+      stat.records_out = state->counters.map_output_records;
+      stat.bytes_read = state->counters.input_bytes;
+      stat.bytes_written = state->counters.map_output_bytes;
       stat.vm_instructions = state->vm_instructions;
       stat.seconds = state->seconds;
       RecordTaskStat(stat, state->interval_matches);
@@ -794,7 +764,7 @@ Result<JobRunner::CommitFn> JobRunner::MapAttempt(int split_index,
       // matches counts each matching record exactly once.
       for (uint64_t m : state->interval_matches) matched += m;
       observed_matched_.fetch_add(matched, std::memory_order_relaxed);
-      observed_scanned_.fetch_add(state->records,
+      observed_scanned_.fetch_add(state->counters.input_records,
                                   std::memory_order_relaxed);
       MaybeReplan(
           committed_splits_.fetch_add(1, std::memory_order_acq_rel) + 1);
@@ -845,25 +815,9 @@ void JobRunner::MaybeReplan(int committed_splits) {
     replan_stat_.to = target->tree_path;
   }
   switched_.store(true, std::memory_order_release);
-  obs::MetricsRegistry::Get().GetCounter("engine.plan_switches")
-      ->Increment();
-  obs::TraceInstant("engine.plan_switched", "exec",
-                    {{"job", cfg_.job_id},
-                     {"after_splits", std::to_string(committed_splits)},
-                     {"estimated", StrPrintf("%.4f", estimated)},
-                     {"observed", StrPrintf("%.4f", observed)},
-                     {"drift_ratio", StrPrintf("%.1f", ratio)},
-                     {"to", target->tree_path}});
-  obs::Journal::Get()
-      .Event("plan_switched")
-      .Str("job", cfg_.job_id)
-      .Int("after_splits", committed_splits)
-      .Num("estimated", estimated)
-      .Num("observed", observed)
-      .Num("drift_ratio", ratio)
-      .Str("from", descriptor_.data_path)
-      .Str("to", target->tree_path)
-      .Emit();
+  obs::Emit<obs::kPlanSwitched>(cfg_.job_id, committed_splits, estimated,
+                                observed, ratio, descriptor_.data_path,
+                                target->tree_path);
 }
 
 Result<std::unique_ptr<InputSplit>> JobRunner::OpenSwitchedSplit(
@@ -897,10 +851,8 @@ Result<JobRunner::CommitFn> JobRunner::ReduceAttempt(int partition,
     std::string attempt_path;
     std::string canonical_path;
     bool committed = false;
-    uint64_t groups = 0;
-    uint64_t logs = 0;
+    JobCounters counters;  // merged into the job's on commit
     uint64_t vm_instructions = 0;
-    uint64_t bailout_groups = 0;
     double seconds = 0;
     ~AttemptState() {
       if (!committed && !attempt_path.empty()) {
@@ -934,7 +886,8 @@ Result<JobRunner::CommitFn> JobRunner::ReduceAttempt(int partition,
   auto ensure_vm = [&]() -> mril::VmInstance* {
     if (vm == nullptr) {
       vm = std::make_unique<mril::VmInstance>(&program_);
-      vm->set_log_sink([state](const Value&) { ++state->logs; });
+      vm->set_log_sink(
+          [state](const Value&) { ++state->counters.log_messages; });
       vm->set_emit_sink(emit_pair);
     }
     return vm.get();
@@ -951,7 +904,7 @@ Result<JobRunner::CommitFn> JobRunner::ReduceAttempt(int partition,
     if (errors_.Failed()) {
       return Status::Internal("reduce task aborted: job already failed");
     }
-    ++state->groups;
+    ++state->counters.reduce_groups;
     if (fold_ != nullptr) {
       // Exactness contract (codegen/kernel.h): the fold either yields
       // the VM's (key, acc) or bails, and the VM replays the group.
@@ -960,13 +913,14 @@ Result<JobRunner::CommitFn> JobRunner::ReduceAttempt(int partition,
         MANIMAL_RETURN_IF_ERROR(emit_pair(key, acc));
         continue;
       }
-      ++state->bailout_groups;
+      ++state->counters.reduce_bailout_groups;
     }
     if (!values.has_unique_list()) values = Value::List({});
     MANIMAL_RETURN_IF_ERROR(groups.DecodeValues(&values.mutable_list()));
     MANIMAL_RETURN_IF_ERROR(ensure_vm()->InvokeReduce(key, values));
   }
   MANIMAL_RETURN_IF_ERROR(state->part->Finish());
+  state->counters.native_reduce_tasks = fold_ != nullptr ? 1 : 0;
   state->vm_instructions = vm != nullptr ? vm->total_steps() : 0;
   state->seconds = attempt_watch.ElapsedSeconds();
 
@@ -974,21 +928,14 @@ Result<JobRunner::CommitFn> JobRunner::ReduceAttempt(int partition,
     MANIMAL_RETURN_IF_ERROR(
         RenameFile(state->attempt_path, state->canonical_path));
     state->committed = true;
-    // Winner-only plain write; read after the phase barrier.
-    partition_groups_[partition] = state->groups;
-    log_messages_.fetch_add(state->logs, std::memory_order_relaxed);
-    if (fold_ != nullptr) {
-      native_reduce_tasks_.fetch_add(1, std::memory_order_relaxed);
-      reduce_bailouts_.fetch_add(state->bailout_groups,
-                                 std::memory_order_relaxed);
-    }
+    MergeCounters(state->counters);
     if (cfg_.collect_task_stats) {
       TaskStat stat;
       stat.kind = 'r';
       stat.index = partition;
       stat.chain = chain;
       stat.attempt = attempt;
-      stat.records_in = state->groups;
+      stat.records_in = state->counters.reduce_groups;
       stat.records_out = state->part->num_pairs();
       stat.bytes_written = state->part->payload_bytes();
       stat.vm_instructions = state->vm_instructions;
@@ -1031,7 +978,6 @@ void JobRunner::SubmitMapChain(ThreadPool* pool, int split_index,
 
 void JobRunner::MonitorMapPhase(ThreadPool* pool) {
   const int num_tasks = plan_->num_splits();
-  auto& metrics = obs::MetricsRegistry::Get();
   auto all_resolved = [&] {
     for (const TaskControl& t : map_tasks_) {
       if (!t.resolved.load(std::memory_order_acquire)) return false;
@@ -1078,22 +1024,10 @@ void JobRunner::MonitorMapPhase(ThreadPool* pool) {
           if (elapsed >= threshold &&
               !ctl.speculated.exchange(true,
                                        std::memory_order_acq_rel)) {
-            speculative_launches_.fetch_add(1,
-                                            std::memory_order_relaxed);
-            metrics.GetCounter("engine.speculative_launches")
-                ->Increment();
-            obs::TraceInstant("engine.speculative_launch", "exec",
-                              {{"task", TaskId('m', i)},
-                               {"elapsed_s", StrPrintf("%.3f", elapsed)},
-                               {"threshold_s",
-                                StrPrintf("%.3f", threshold)}});
-            obs::Journal::Get()
-                .Event("speculative_launch")
-                .Str("job", cfg_.job_id)
-                .Str("task", TaskId('m', i))
-                .Time("elapsed_s", elapsed)
-                .Time("threshold_s", threshold)
-                .Emit();
+            Increment(&JobCounters::speculative_launches);
+            obs::Emit<obs::kSpeculativeLaunch>(
+                cfg_.job_id, TaskId('m', i), obs::Seconds{elapsed},
+                obs::Seconds{threshold});
             SubmitMapChain(pool, i, /*chain=*/1);
           }
         }
@@ -1122,7 +1056,6 @@ Status JobRunner::RunMapPhase() {
 Status JobRunner::RunReducePhase() {
   obs::ScopedSpan reduce_phase_span("job.reduce_phase", "exec");
   const int num_partitions = cfg_.num_partitions;
-  partition_groups_.assign(num_partitions, 0);
   for (int p = 0; p < num_partitions; ++p) reduce_tasks_.emplace_back();
   ThreadPool pool(cfg_.map_parallelism);
   for (int p = 0; p < num_partitions; ++p) {
@@ -1225,7 +1158,6 @@ Status JobRunner::Prepare() {
   MANIMAL_RETURN_IF_ERROR(CreateDirIfMissing(cfg_.temp_dir));
 
   result_.output_path = cfg_.output_path;
-  result_.applied_optimizations = descriptor_.applied;
 
   {
     obs::ScopedSpan plan_span("job.plan_input", "exec");
@@ -1285,15 +1217,9 @@ Status JobRunner::Prepare() {
         codegen::BuildBlockSkipFilter(program_, *plan_->seqfile(),
                                       field_remap_, &report);
     if (skip != nullptr) plan_->InstallBlockSkip(std::move(skip));
-    skip_detail_ = report.detail;
-    obs::Journal::Get()
-        .Event("direct_eval")
-        .Str("job", cfg_.job_id)
-        .Bool("admitted", report.admitted)
-        .Uint("blocks_total", report.blocks_total)
-        .Uint("blocks_refuted", report.blocks_skipped)
-        .Str("detail", report.detail)
-        .Emit();
+    obs::Emit<obs::kDirectEval>(cfg_.job_id, report.admitted,
+                                report.blocks_total, report.blocks_skipped,
+                                report.detail);
   }
 
   if (has_reduce_) {
@@ -1313,14 +1239,6 @@ Status JobRunner::Prepare() {
 
 Result<JobResult> JobRunner::Run() {
   obs::MetricsRegistry::Get().GetCounter("exec.jobs")->Increment();
-  // Pre-register the fault-handling counters so they are visible in
-  // DumpMetricsJson() even for an entirely fault-free process.
-  obs::MetricsRegistry::Get().GetCounter("engine.task_retries");
-  obs::MetricsRegistry::Get().GetCounter("engine.speculative_launches");
-  obs::MetricsRegistry::Get().GetCounter("engine.tasks_failed");
-  obs::MetricsRegistry::Get().GetCounter("engine.native_tasks");
-  obs::MetricsRegistry::Get().GetCounter("engine.bytes_decoded");
-  obs::MetricsRegistry::Get().GetCounter("engine.blocks_skipped");
   obs::ScopedSpan job_span("job.run", "exec");
   job_span.AddArg("job", cfg_.job_id);
   job_span.AddArg("access_path", AccessPathName(descriptor_.access_path));
@@ -1329,32 +1247,21 @@ Result<JobResult> JobRunner::Run() {
   Stopwatch plan_watch;
 
   MANIMAL_RETURN_IF_ERROR(Prepare());
-  obs::Journal::Get()
-      .Event("job_start")
-      .Str("job", cfg_.job_id)
-      .Str("program", program_.name)
-      .Str("access_path", AccessPathName(descriptor_.access_path))
-      .Int("splits", plan_->num_splits())
-      .Int("partitions", has_reduce_ ? cfg_.num_partitions : 0)
-      .Uint("input_file_bytes", result_.counters.input_file_bytes)
-      .Bool("observe_predicates", observe_)
-      .Emit();
+  obs::Emit<obs::kJobStart>(
+      cfg_.job_id, program_.name, AccessPathName(descriptor_.access_path),
+      plan_->num_splits(), has_reduce_ ? cfg_.num_partitions : 0,
+      result_.counters.input_file_bytes, observe_);
 
   // ---------------- map phase ----------------
   result_.phase_breakdown["plan"].seconds = plan_watch.ElapsedSeconds();
   Stopwatch map_watch;
   MANIMAL_RETURN_IF_ERROR(RunMapPhase());
-  result_.map_seconds = map_watch.ElapsedSeconds();
-  result_.phase_breakdown["map"].seconds = result_.map_seconds;
+  result_.phase_breakdown["map"].seconds = map_watch.ElapsedSeconds();
 
   // ---------------- reduce / output phase ----------------
   Stopwatch reduce_watch;
-  uint64_t reduce_groups_total = 0;
   if (has_reduce_) {
     MANIMAL_RETURN_IF_ERROR(RunReducePhase());
-    for (uint64_t groups : partition_groups_) {
-      reduce_groups_total += groups;
-    }
     const Shuffle::Stats shuffle_stats = shuffle_->stats();
     result_.counters.shuffle_spilled_runs = shuffle_stats.spilled_runs;
     result_.counters.shuffle_spilled_bytes = shuffle_stats.spilled_bytes;
@@ -1365,39 +1272,11 @@ Result<JobResult> JobRunner::Run() {
 
   result_.counters.output_records = out_->num_outputs();
   MANIMAL_ASSIGN_OR_RETURN(result_.counters.output_bytes, out_->Finish());
-  obs::Journal::Get()
-      .Event("output_commit")
-      .Str("job", cfg_.job_id)
-      .Str("path", cfg_.output_path)
-      .Uint("records", result_.counters.output_records)
-      .Uint("bytes", result_.counters.output_bytes)
-      .Emit();
-  result_.reduce_seconds = reduce_watch.ElapsedSeconds();
-  result_.phase_breakdown["reduce"].seconds = result_.reduce_seconds;
+  obs::Emit<obs::kOutputCommit>(cfg_.job_id, cfg_.output_path,
+                                result_.counters.output_records,
+                                result_.counters.output_bytes);
+  result_.phase_breakdown["reduce"].seconds = reduce_watch.ElapsedSeconds();
 
-  result_.counters.input_records = input_records_.load();
-  result_.counters.input_bytes = input_bytes_.load();
-  result_.counters.map_invocations = map_invocations_.load();
-  result_.counters.map_output_records = map_output_records_.load();
-  result_.counters.map_output_bytes = map_output_bytes_.load();
-  result_.counters.map_output_filtered = map_output_filtered_.load();
-  result_.counters.log_messages = log_messages_.load();
-  result_.counters.reduce_groups = reduce_groups_total;
-  result_.counters.task_retries = task_retries_.load();
-  result_.counters.speculative_launches = speculative_launches_.load();
-  result_.counters.tasks_failed = tasks_failed_.load();
-  result_.counters.native_tasks = native_tasks_.load();
-  result_.counters.native_bailout_records = native_bailouts_.load();
-  result_.counters.native_reduce_tasks = native_reduce_tasks_.load();
-  result_.counters.reduce_bailout_groups = reduce_bailouts_.load();
-  result_.counters.bytes_decoded = bytes_decoded_.load();
-  result_.counters.blocks_skipped = blocks_skipped_.load();
-  obs::MetricsRegistry::Get()
-      .GetCounter("engine.bytes_decoded")
-      ->Add(result_.counters.bytes_decoded);
-  obs::MetricsRegistry::Get()
-      .GetCounter("engine.blocks_skipped")
-      ->Add(result_.counters.blocks_skipped);
   result_.backend = map_backend_name_;
   result_.backend_detail = backend_detail_;
   if (has_reduce_) {
@@ -1441,21 +1320,12 @@ Result<JobResult> JobRunner::Run() {
       result_.predicate_stats.push_back(std::move(ps));
     }
   }
-  obs::Journal::Get()
-      .Event("job_finish")
-      .Str("job", cfg_.job_id)
-      .Uint("input_records", result_.counters.input_records)
-      .Uint("output_records", result_.counters.output_records)
-      .Uint("task_retries", result_.counters.task_retries)
-      .Uint("speculative_launches",
-            result_.counters.speculative_launches)
-      .Uint("shuffle_spilled_runs",
-            result_.counters.shuffle_spilled_runs)
-      .Uint("bytes_decoded", result_.counters.bytes_decoded)
-      .Uint("blocks_skipped", result_.counters.blocks_skipped)
-      .Time("wall_seconds", result_.wall_seconds)
-      .Time("reported_seconds", result_.reported_seconds)
-      .Emit();
+  const JobCounters& c = result_.counters;
+  obs::Emit<obs::kJobFinish>(
+      cfg_.job_id, c.input_records, c.output_records, c.task_retries,
+      c.speculative_launches, c.shuffle_spilled_runs, c.bytes_decoded,
+      c.blocks_skipped, obs::Seconds{result_.wall_seconds},
+      obs::Seconds{result_.reported_seconds});
   // Rewrite the cumulative trace after every job so MANIMAL_TRACE
   // output exists even when the process exits abnormally later.
   if (obs::Tracer::Get().enabled()) {
@@ -1499,11 +1369,7 @@ Result<JobResult> RunJob(const ExecutionDescriptor& descriptor,
   JobRunner runner(descriptor, cfg);
   Result<JobResult> result = runner.Run();
   if (!result.ok()) {
-    obs::Journal::Get()
-        .Event("job_failed")
-        .Str("job", cfg.job_id)
-        .Str("error", result.status().ToString())
-        .Emit();
+    obs::Emit<obs::kJobFailed>(cfg.job_id, result.status().ToString());
     CleanupPartialOutputs(cfg);
   }
   return result;

@@ -33,7 +33,6 @@ struct ReplanTarget {
   std::string tree_path;
   // Canonicalized (disjoint, sorted) predicate intervals to read.
   std::vector<analyzer::KeyInterval> intervals;
-  std::string explanation;
 };
 using ReplanFn =
     std::function<std::optional<ReplanTarget>(double observed_selectivity)>;
@@ -256,14 +255,11 @@ struct JobResult {
   // id appears on this job's journal events and trace spans.
   std::string job_id;
   JobCounters counters;
-  double map_seconds = 0;
-  double reduce_seconds = 0;
   double wall_seconds = 0;         // measured work time
   double simulated_io_seconds = 0; // bytes moved / simulated disk rate
   // wall + simulated startup + simulated I/O.
   double reported_seconds = 0;
   std::string output_path;
-  std::vector<std::string> applied_optimizations;
   // Contiguous decomposition of wall_seconds: "plan" (input planning
   // and shuffle setup), "map" (bytes = input read + map output
   // written), "reduce" (the reduce/output pass; bytes = shuffled

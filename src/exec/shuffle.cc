@@ -5,9 +5,8 @@
 
 #include "common/check.h"
 #include "common/strings.h"
-#include "obs/journal.h"
+#include "obs/event.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "serde/key_codec.h"
 #include "serde/record_codec.h"
 
@@ -131,15 +130,8 @@ std::unique_ptr<Shuffle::Mapper> Shuffle::NewMapper() {
 void Shuffle::OnSpill(int mapper_id, int partition, uint64_t run_bytes) {
   spilled_runs_counter_->Increment();
   spilled_bytes_counter_->Add(static_cast<int64_t>(run_bytes));
-  obs::TraceInstant((options_.metric_label + ".spill").c_str(), "exec",
-                    {{"bytes", std::to_string(run_bytes)}});
-  obs::Journal::Get()
-      .Event("shuffle_spill")
-      .Str("job", options_.job_id)
-      .Int("mapper", mapper_id)
-      .Int("partition", partition)
-      .Uint("bytes", run_bytes)
-      .Emit();
+  obs::Emit<obs::kShuffleSpill>(options_.job_id, mapper_id, partition,
+                                run_bytes);
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.spilled_runs;
   stats_.spilled_bytes += run_bytes;
@@ -167,13 +159,8 @@ Result<std::unique_ptr<index::SortedStream>> Shuffle::FinishPartition(
   obs::MetricsRegistry::Get()
       .GetHistogram(options_.metric_label + ".merge_fan_in")
       ->Record(static_cast<double>(run_paths.size() + memory_runs.size()));
-  obs::Journal::Get()
-      .Event("shuffle_merge")
-      .Str("job", options_.job_id)
-      .Int("partition", p)
-      .Uint("disk_runs", run_paths.size())
-      .Uint("memory_runs", memory_runs.size())
-      .Emit();
+  obs::Emit<obs::kShuffleMerge>(options_.job_id, p, run_paths.size(),
+                                memory_runs.size());
   return index::MergeSortedRunsBorrowed(run_paths,
                                         std::move(memory_runs));
 }

@@ -41,7 +41,7 @@ class Shuffle {
     // buffers; the largest buffer spills when the budget fills.
     uint64_t mapper_budget_bytes = 8u << 20;
     // Spills publish "<label>.spilled_runs" / "<label>.spilled_bytes"
-    // counters and "<label>.spill" trace instants; merges record the
+    // counters (and a shuffle_spill event); merges record the
     // "<label>.merge_fan_in" histogram.
     std::string metric_label = "shuffle";
     // Job id stamped on the shuffle's journal events (shuffle_spill /

@@ -1,84 +1,14 @@
 #include "obs/journal.h"
 
 #include <cstdlib>
-#include <utility>
 
 #include "obs/json.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace manimal::obs {
 
-namespace {
-
-void AppendKey(std::string* out, std::string_view key) {
-  if (!out->empty()) *out += ',';
-  *out += '"';
-  JsonAppendEscaped(out, key);
-  *out += "\":";
-}
-
-}  // namespace
-
-JournalEvent& JournalEvent::Str(std::string_view key,
-                                std::string_view value) {
-  if (journal_ == nullptr) return *this;
-  AppendKey(&fields_, key);
-  fields_ += JsonQuote(value);
-  return *this;
-}
-
-JournalEvent& JournalEvent::Int(std::string_view key, int64_t value) {
-  if (journal_ == nullptr) return *this;
-  AppendKey(&fields_, key);
-  fields_ += std::to_string(value);
-  return *this;
-}
-
-JournalEvent& JournalEvent::Uint(std::string_view key, uint64_t value) {
-  if (journal_ == nullptr) return *this;
-  AppendKey(&fields_, key);
-  fields_ += std::to_string(value);
-  return *this;
-}
-
-JournalEvent& JournalEvent::Num(std::string_view key, double value) {
-  if (journal_ == nullptr) return *this;
-  AppendKey(&fields_, key);
-  fields_ += JsonNumber(value);
-  return *this;
-}
-
-JournalEvent& JournalEvent::Bool(std::string_view key, bool value) {
-  if (journal_ == nullptr) return *this;
-  AppendKey(&fields_, key);
-  fields_ += value ? "true" : "false";
-  return *this;
-}
-
-JournalEvent& JournalEvent::Time(std::string_view key, double seconds) {
-  if (journal_ == nullptr) return *this;
-  AppendKey(&fields_, key);
-  fields_ +=
-      JsonFixed(journal_->deterministic() ? 0.0 : seconds, 6);
-  return *this;
-}
-
-JournalEvent& JournalEvent::Raw(std::string_view key,
-                                std::string_view json) {
-  if (journal_ == nullptr) return *this;
-  AppendKey(&fields_, key);
-  fields_ += json;
-  return *this;
-}
-
-void JournalEvent::Emit() {
-  if (journal_ == nullptr) return;
-  journal_->Write(type_, fields_);
-  journal_ = nullptr;
-}
-
-Journal::Journal() {
+Journal::Journal()
+    : events_written_(
+          MetricsRegistry::Get().GetCounter("obs.journal_events")) {
   const char* path = std::getenv("MANIMAL_JOURNAL");
   if (path != nullptr && path[0] != '\0') {
     path_ = path;
@@ -93,19 +23,13 @@ Journal& Journal::Get() {
   return *journal;
 }
 
-JournalEvent Journal::Event(const char* type) {
-  return JournalEvent(enabled() ? this : nullptr, type);
-}
-
 uint64_t Journal::events_written() const {
-  return events_written_.load(std::memory_order_relaxed);
+  return static_cast<uint64_t>(events_written_->Value());
 }
 
-void Journal::Write(const char* type, const std::string& fields) {
-  // Timestamp shares the tracer's epoch so journal lines locate
-  // within the Chrome trace timeline. Taken outside the lock.
-  const double ts_us =
-      deterministic() ? 0.0 : Tracer::Get().NowMicros();
+void Journal::Write(std::string_view type, double ts_us,
+                    const std::string& fields) {
+  if (deterministic()) ts_us = 0;
   std::string line = "{\"v\":";
   line += std::to_string(kJournalSchemaVersion);
   std::lock_guard<std::mutex> lock(mu_);
@@ -128,8 +52,7 @@ void Journal::Write(const char* type, const std::string& fields) {
   line += "}\n";
   std::fwrite(line.data(), 1, line.size(), file_);
   std::fflush(file_);
-  events_written_.fetch_add(1, std::memory_order_relaxed);
-  MetricsRegistry::Get().GetCounter("obs.journal_events")->Increment();
+  events_written_->Increment();
 }
 
 void Journal::SetOutputPathForTest(const std::string& path) {
@@ -155,7 +78,6 @@ void Journal::ResetForTest() {
     file_ = nullptr;
   }
   next_seq_ = 1;
-  events_written_.store(0, std::memory_order_relaxed);
   deterministic_.store(false, std::memory_order_relaxed);
   const char* env = std::getenv("MANIMAL_JOURNAL");
   if (env != nullptr && env[0] != '\0') {

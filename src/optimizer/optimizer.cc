@@ -7,7 +7,7 @@
 #include "columnar/dictionary.h"
 #include "common/env.h"
 #include "common/strings.h"
-#include "obs/journal.h"
+#include "obs/event.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "optimizer/cost.h"
@@ -302,16 +302,9 @@ Plan FinalizePlan(Plan plan, PlanExplain ex,
     plan.descriptor.est_provenance = estimate->provenance;
   }
   AttachNativeEligibility(&plan, &ex, stats);
-  obs::Journal::Get()
-      .Event("plan_selected")
-      .Str("program", ex.program)
-      .Str("input", ex.input_path)
-      .Str("mode", "cost")
-      .Str("access_path", ex.access_path)
-      .Bool("optimized", ex.optimized)
-      .Uint("candidates", ex.candidates.size())
-      .Str("summary", ex.summary)
-      .Emit();
+  obs::Emit<obs::kPlanSelected>(ex.program, ex.input_path, "cost",
+                                ex.access_path, ex.optimized,
+                                ex.candidates.size(), ex.summary);
   plan.explain = std::move(ex);
   return plan;
 }

@@ -6,15 +6,25 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/faulty_env.h"
 #include "core/manimal.h"
+#include "exec/engine.h"
+#include "mril/builder.h"
+#include "obs/event.h"
 #include "obs/journal.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
+#include "optimizer/optimizer.h"
 #include "tests/test_util.h"
 #include "workloads/datagen.h"
 #include "workloads/pavlo.h"
+#include "workloads/schemas.h"
 
 namespace manimal::obs {
 namespace {
@@ -88,11 +98,7 @@ TEST(JournalTest, DisabledByDefaultAndCostsNothing) {
   Journal::Get().ResetForTest();
   ASSERT_FALSE(Journal::Get().enabled());
   const uint64_t before = Journal::Get().events_written();
-  Journal::Get()
-      .Event("test_event")
-      .Str("key", "value")
-      .Int("n", 7)
-      .Emit();
+  Emit<kJobFailed>("job-0", "error");
   EXPECT_EQ(Journal::Get().events_written(), before);
 }
 
@@ -161,6 +167,150 @@ TEST(JournalTest, GoldenFileIsByteStable) {
   ASSERT_TRUE(golden_or.ok()) << golden_or.status().ToString();
   EXPECT_EQ(actual, *golden_or)
       << "=== actual journal ===\n" << actual;
+}
+
+// One source, three sinks: a job with a forced shuffle spill and an
+// injected fault (so a task retries) runs with the journal and the
+// tracer both on. Every journal line must have exactly one trace
+// instant of the same name, job, task and timestamp, and every event
+// counter must have moved by exactly what the journal recorded.
+TEST(JournalTest, JournalTraceAndCountersAgree) {
+  TempDir dir("journal4");
+  workloads::WebPagesOptions gen;
+  gen.num_pages = 4000;
+  gen.content_len = 128;
+  gen.rank_range = 100;
+  ASSERT_TRUE(
+      workloads::GenerateWebPages(dir.file("pages.msq"), gen).ok());
+
+  // Emits the whole content column through the shuffle.
+  mril::ProgramBuilder b("spiller");
+  b.SetKeyType(FieldType::kI64)
+      .SetValueSchema(workloads::WebPagesSchema());
+  auto& m = b.Map();
+  m.LoadParam(1).GetField("rank");
+  m.LoadParam(1).GetField("content");
+  m.Emit().Ret();
+  auto& r = b.Reduce();
+  r.LoadParam(0);
+  r.LoadParam(1).Call("list.len");
+  r.Emit().Ret();
+
+  exec::JobConfig config;
+  config.map_parallelism = 2;
+  config.num_partitions = 2;
+  config.sort_buffer_bytes = 1;  // floored to 64 KiB per mapper: spills
+  config.temp_dir = dir.file("tmp");
+  config.output_path = dir.file("out.prs");
+  config.simulated_startup_seconds = 0;
+  config.simulated_disk_bytes_per_sec = 0;
+  config.retry_backoff_ms = 0;
+  config.enable_speculation = false;
+
+  std::map<std::string, int64_t> before;
+  for (const EventSpec* spec : kEvents) {
+    for (const EventCounter& counter : spec->counters) {
+      before[counter.name] =
+          MetricsRegistry::Get().CounterValue(counter.name);
+    }
+  }
+  Journal::Get().ResetForTest();
+  Journal::Get().SetOutputPathForTest(dir.file("journal.jsonl"));
+  Tracer::Get().ClearForTest();
+  Tracer::Get().SetEnabledForTest(true);
+  {
+    FaultyEnv::Config fault;
+    fault.fail_nth = 1;  // the first armed IO fails; its task retries
+    ScopedFaultInjection inject(fault);
+    auto result = exec::RunJob(
+        optimizer::BaselineDescriptor(b.Build(), dir.file("pages.msq")),
+        config);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+  }
+  Tracer::Get().SetEnabledForTest(false);
+  const std::string trace_json = Tracer::Get().ExportJson();
+  Tracer::Get().ClearForTest();
+  Journal::Get().ResetForTest();
+
+  // (event, job, task, ts) -> trace instants not yet matched by a
+  // journal line.
+  using Key = std::tuple<std::string, std::string, std::string, double>;
+  std::map<Key, int> instants;
+  JsonValue trace;
+  std::string error;
+  ASSERT_TRUE(JsonParse(trace_json, &trace, &error)) << error;
+  for (const JsonValue& ev : trace.Find("traceEvents")->items) {
+    const std::string name = ev.StringOr("name", "");
+    if (ev.StringOr("ph", "") != "i" || FindEvent(name) == nullptr) {
+      continue;
+    }
+    const JsonValue* args = ev.Find("args");
+    ASSERT_NE(args, nullptr) << name;
+    ++instants[{name, args->StringOr("job", ""), args->StringOr("task", ""),
+                ev.NumberOr("ts", -1)}];
+  }
+
+  auto text_or = ReadFileToString(dir.file("journal.jsonl"));
+  ASSERT_TRUE(text_or.ok()) << text_or.status().ToString();
+  std::map<std::string, int64_t> lines_of;
+  std::map<std::string, int64_t> field_sums;  // "<event>.<field>"
+  for (const std::string& line : SplitLines(*text_or)) {
+    JsonValue value;
+    ASSERT_TRUE(JsonParse(line, &value, &error)) << error;
+    const std::string event = value.StringOr("event", "");
+    ++lines_of[event];
+    for (const auto& [key, field] : value.members) {
+      if (field.is_number()) {
+        field_sums[event + "." + key] += static_cast<int64_t>(field.number);
+      }
+    }
+    int& unmatched = instants[{event, value.StringOr("job", ""),
+                               value.StringOr("task", ""),
+                               value.NumberOr("ts_us", -1)}];
+    EXPECT_GT(unmatched, 0) << "no trace instant for: " << line;
+    --unmatched;
+  }
+  for (const auto& [key, unmatched] : instants) {
+    EXPECT_EQ(unmatched, 0) << "journal lines and trace instants differ for "
+                            << std::get<0>(key);
+  }
+  EXPECT_GT(lines_of["shuffle_spill"], 0);
+  EXPECT_GT(lines_of["task_retry"], 0);
+  EXPECT_EQ(lines_of["fault_injected"], 1);
+
+  for (const EventSpec* spec : kEvents) {
+    for (const EventCounter& counter : spec->counters) {
+      const int64_t want =
+          counter.field == nullptr
+              ? lines_of[spec->name]
+              : field_sums[std::string(spec->name) + "." + counter.field];
+      EXPECT_EQ(MetricsRegistry::Get().CounterValue(counter.name) -
+                    before[counter.name],
+                want)
+          << counter.name;
+    }
+  }
+}
+
+// Every event counter is listed by a metrics dump, including in a
+// process that never fired its event.
+TEST(JournalTest, MetricsDumpListsEveryEventCounter) {
+  JsonValue dump;
+  std::string error;
+  ASSERT_TRUE(
+      JsonParse(core::ManimalSystem::DumpMetricsJson(), &dump, &error))
+      << error;
+  const JsonValue* counters = dump.Find("counters");
+  ASSERT_NE(counters, nullptr);
+  int listed = 0;
+  for (const EventSpec* spec : kEvents) {
+    for (const EventCounter& counter : spec->counters) {
+      EXPECT_NE(counters->Find(counter.name), nullptr) << counter.name;
+      ++listed;
+    }
+  }
+  EXPECT_EQ(listed, 6);
+  EXPECT_NE(counters->Find("engine.plan_switches"), nullptr);
 }
 
 }  // namespace

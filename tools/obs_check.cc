@@ -9,18 +9,23 @@
 // the process exits nonzero if any check fails. The checks enforce
 // the schema contracts the docs promise: every journal line is a
 // versioned, monotonically-sequenced JSON object of a known event
-// type carrying that type's required fields; the trace is one JSON
-// object with a well-formed traceEvents array; every explain line is
-// a versioned report with a plan section and a legal candidate set.
+// type carrying exactly that type's fields, in order, as listed by
+// the shared event table (src/obs/event.h); the trace is one JSON
+// object with a well-formed traceEvents array whose run-event
+// instants carry their row's fields as args; every explain line is a
+// versioned report with a plan section and a legal candidate set.
 
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/env.h"
+#include "obs/event.h"
 #include "obs/journal.h"
 #include "obs/json.h"
 #include "optimizer/explain.h"
@@ -51,7 +56,7 @@ std::vector<std::string> SplitLines(const std::string& text) {
   return lines;
 }
 
-bool HasKeys(const JsonValue& obj, const std::vector<const char*>& keys,
+bool HasKeys(const JsonValue& obj, std::initializer_list<const char*> keys,
              std::string* missing) {
   for (const char* key : keys) {
     if (obj.Find(key) == nullptr) {
@@ -64,37 +69,16 @@ bool HasKeys(const JsonValue& obj, const std::vector<const char*>& keys,
 
 // ---- journal ----
 
-// Required fields per event type (beyond the envelope v/seq/ts_us).
-const std::map<std::string, std::vector<const char*>>& JournalSchema() {
-  static const std::map<std::string, std::vector<const char*>> schema = {
-      {"plan_selected",
-       {"program", "input", "mode", "access_path", "optimized",
-        "candidates", "summary"}},
-      {"job_start",
-       {"job", "program", "access_path", "splits", "partitions",
-        "input_file_bytes", "observe_predicates"}},
-      {"task_start", {"job", "task", "chain", "speculative", "backend"}},
-      {"task_retry", {"job", "task", "chain", "attempt", "error"}},
-      {"task_commit", {"job", "task", "chain", "attempt"}},
-      {"task_failed", {"job", "task", "chain", "error"}},
-      {"speculative_launch", {"job", "task", "elapsed_s", "threshold_s"}},
-      {"shuffle_spill", {"job", "mapper", "partition", "bytes"}},
-      {"shuffle_merge", {"job", "partition", "disk_runs", "memory_runs"}},
-      {"fault_injected",
-       {"op", "path", "site_ordinal", "injected_so_far"}},
-      {"plan_switched",
-       {"job", "after_splits", "estimated", "observed", "drift_ratio",
-        "from", "to"}},
-      {"direct_eval",
-       {"job", "admitted", "blocks_total", "blocks_refuted", "detail"}},
-      {"output_commit", {"job", "path", "records", "bytes"}},
-      {"job_finish",
-       {"job", "input_records", "output_records", "task_retries",
-        "speculative_launches", "shuffle_spilled_runs", "bytes_decoded",
-        "blocks_skipped", "wall_seconds", "reported_seconds"}},
-      {"job_failed", {"job", "error"}},
-  };
-  return schema;
+// A journal line carries exactly its row's fields, in table order,
+// after the envelope v/seq/ts_us/event.
+bool FieldsMatch(const JsonValue& line, const manimal::obs::EventSpec& spec) {
+  constexpr size_t kEnvelope = 4;
+  if (line.members.size() != kEnvelope + spec.fields.size()) return false;
+  size_t i = kEnvelope;
+  for (std::string_view field : spec.fields) {
+    if (line.members[i++].first != field) return false;
+  }
+  return true;
 }
 
 void CheckJournal(const std::string& path) {
@@ -133,14 +117,13 @@ void CheckJournal(const std::string& path) {
       Fail(path, i + 1, "missing ts_us");
     }
     const std::string event = value.StringOr("event", "");
-    auto it = JournalSchema().find(event);
-    if (it == JournalSchema().end()) {
+    const manimal::obs::EventSpec* spec = manimal::obs::FindEvent(event);
+    if (spec == nullptr) {
       Fail(path, i + 1, "unknown event type '" + event + "'");
       continue;
     }
-    std::string missing;
-    if (!HasKeys(value, it->second, &missing)) {
-      Fail(path, i + 1, event + " missing field '" + missing + "'");
+    if (!FieldsMatch(value, *spec)) {
+      Fail(path, i + 1, event + " fields differ from the event table");
     }
     // Map and reduce tasks alike run on the VM or a native kernel.
     if (event == "task_start") {
@@ -193,6 +176,15 @@ void CheckTrace(const std::string& path) {
     }
     if (ph == "X" && ev.Find("dur") == nullptr) {
       Fail(path, i + 1, "complete event missing 'dur'");
+    }
+    // A run event's instant carries its row's fields as args.
+    const manimal::obs::EventSpec* spec =
+        ph == "i" ? manimal::obs::FindEvent(ev.StringOr("name", ""))
+                  : nullptr;
+    const JsonValue* args = ev.Find("args");
+    if (spec != nullptr &&
+        (args == nullptr || !HasKeys(*args, spec->fields, &missing))) {
+      Fail(path, i + 1, std::string(spec->name) + " instant missing args");
     }
   }
   std::printf("obs_check: %s: %zu trace events\n", path.c_str(),
