@@ -1,5 +1,5 @@
 // Codec scan benchmark: the four Pavlo benchmark programs over
-// block-compressed (v2) re-encoded artifacts, each run with direct
+// mlz-compressed re-encoded artifacts, each run with direct
 // predicate evaluation on compressed blocks OFF then ON. Reports
 // bytes scanned off disk, bytes decoded, blocks skipped, and wall
 // time per row; the JSON-lines mirror (MANIMAL_BENCH_JSON) is the
@@ -112,9 +112,8 @@ int main() {
     r.name = row.name;
 
     // One re-encoded (non-B+Tree) artifact per row, built under the
-    // default MANIMAL_CODECS=auto policy so the selector picks the
-    // chain; B+Tree specs are excluded because block skipping rides
-    // the seqscan path.
+    // default MANIMAL_CODECS policy (mlz blocks); B+Tree specs are
+    // excluded because block skipping rides the seqscan path.
     auto report =
         bench::CheckOk(analyzer::Analyze(row.program), "analyze");
     auto specs =

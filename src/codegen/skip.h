@@ -1,6 +1,6 @@
 // Block-skip filters — direct predicate evaluation on compressed
 // blocks (paper §2.1 "operate directly on compressed data", ROADMAP
-// item 3). A v2 seqfile's footer carries per-block [min, max] frames
+// item 3). Every seqfile's footer carries per-block [min, max] frames
 // for every i64-valued stored slot (including dictionary CODES, which
 // is sound because direct operation rewrites string predicates into
 // code space). When the map()'s emit condition is a DNF of simple

@@ -14,6 +14,7 @@ namespace manimal::columnar {
 namespace {
 constexpr char kMagic[4] = {'M', 'S', 'E', 'Q'};
 constexpr uint32_t kFooterMagic = 0x5E0F0075;
+constexpr uint32_t kVersion = 2;
 constexpr uint8_t kFlagSkipFrames = 0x01;
 }  // namespace
 
@@ -58,19 +59,11 @@ Result<std::unique_ptr<SeqFileWriter>> SeqFileWriter::Create(
   }
   MANIMAL_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> f,
                            WritableFile::Create(path));
-  // Normalize the chain spec through the registry so unknown codec
-  // names fail at create time, not at first read.
-  MANIMAL_ASSIGN_OR_RETURN(CodecChain chain,
-                           CodecChain::Parse(options.codec_chain));
-  meta.codec_chain = chain.ToString();
+  meta.codec_chain = options.mlz ? kCodecMlz : "";
   auto writer = std::unique_ptr<SeqFileWriter>(
       new SeqFileWriter(std::move(f), std::move(meta), options));
   writer->delta_prev_.assign(writer->meta_.delta_slots.size(), 0);
-  writer->v2_ = !writer->meta_.codec_chain.empty() || options.skip_frames;
-  if (!chain.empty()) {
-    writer->chain_ = std::make_unique<CodecChain>(std::move(chain));
-  }
-  if (options.skip_frames && !writer->meta_.stored_schema.opaque()) {
+  if (!writer->meta_.stored_schema.opaque()) {
     // Every stored slot whose decoded runtime value is an i64: plain
     // i64 columns, delta columns (i64 by construction), and
     // dictionary columns (surfaced as codes).
@@ -100,11 +93,9 @@ SeqFileWriter::SeqFileWriter(std::unique_ptr<WritableFile> file,
       meta_(std::move(meta)),
       file_(std::move(file)) {}
 
-SeqFileWriter::~SeqFileWriter() = default;
-
 Status SeqFileWriter::WriteHeader() {
   std::string out(kMagic, 4);
-  PutVarint32(&out, v2_ ? 2 : 1);  // version
+  PutVarint32(&out, kVersion);
   PutLengthPrefixed(&out, meta_.original_schema.ToString());
   PutLengthPrefixed(&out, meta_.stored_schema.ToString());
   PutVarint32(&out, static_cast<uint32_t>(meta_.field_map.size()));
@@ -115,12 +106,10 @@ Status SeqFileWriter::WriteHeader() {
   for (int s : meta_.dict_slots) PutVarint32(&out, s);
   PutLengthPrefixed(&out, meta_.dict_path);
   out.push_back(meta_.has_key_slot ? 1 : 0);
-  if (v2_) {
-    PutLengthPrefixed(&out, meta_.codec_chain);
-    out.push_back(frame_slots_.empty() ? 0 : kFlagSkipFrames);
-    PutVarint32(&out, static_cast<uint32_t>(frame_slots_.size()));
-    for (int s : frame_slots_) PutVarint32(&out, s);
-  }
+  PutLengthPrefixed(&out, meta_.codec_chain);
+  out.push_back(frame_slots_.empty() ? 0 : kFlagSkipFrames);
+  PutVarint32(&out, static_cast<uint32_t>(frame_slots_.size()));
+  for (int s : frame_slots_) PutVarint32(&out, s);
   MANIMAL_RETURN_IF_ERROR(file_->Append(out));
   offset_ = out.size();
   return Status::OK();
@@ -205,8 +194,7 @@ Status SeqFileWriter::Append(int64_t key, const Record& stored_record) {
           break;
         }
       }
-      if (framed && !slot_frame_index_.empty() &&
-          slot_frame_index_[s] >= 0) {
+      if (framed && slot_frame_index_[s] >= 0) {
         const int fi = slot_frame_index_[s];
         if (block_records_ == 0) {
           block_min_[fi] = block_max_[fi] = framed_value;
@@ -236,26 +224,15 @@ Status SeqFileWriter::FlushBlock() {
   PutVarint32(&body, block_records_);
   body += block_buf_;
   raw_body_bytes_ += body.size();
-  if (v2_) {
-    // Frame (and compress) the body; an empty chain still frames so
-    // every v2 block parses the same way.
-    std::string framed;
-    if (chain_ != nullptr) {
-      MANIMAL_RETURN_IF_ERROR(chain_->CompressBlock(body, &framed));
-    } else {
-      MANIMAL_RETURN_IF_ERROR(CodecChain().CompressBlock(body, &framed));
-    }
-    body = std::move(framed);
-  }
+  std::string framed;
+  EncodeBlockFrame(body, !meta_.codec_chain.empty(), &framed);
   std::string out;
-  PutFixed32(&out, static_cast<uint32_t>(body.size()));
-  out += body;
+  PutFixed32(&out, static_cast<uint32_t>(framed.size()));
+  out += framed;
   MANIMAL_RETURN_IF_ERROR(file_->Append(out));
-  if (!frame_slots_.empty()) {
-    for (size_t fi = 0; fi < frame_slots_.size(); ++fi) {
-      frames_.push_back(block_min_[fi]);
-      frames_.push_back(block_max_[fi]);
-    }
+  for (size_t fi = 0; fi < frame_slots_.size(); ++fi) {
+    frames_.push_back(block_min_[fi]);
+    frames_.push_back(block_max_[fi]);
   }
   block_offsets_.push_back(offset_);
   block_cum_records_.push_back(num_records_ - block_records_);
@@ -313,7 +290,7 @@ Status SeqFileReader::Init(const std::string& path) {
   MANIMAL_RETURN_IF_ERROR(GetFixed64(&in, &nrecords));
   MANIMAL_RETURN_IF_ERROR(GetFixed64(&in, &footer_offset));
   MANIMAL_RETURN_IF_ERROR(GetFixed32(&in, &magic));
-  if (magic != 0x5E0F0075) {
+  if (magic != kFooterMagic) {
     return Status::Corruption("bad seqfile footer magic: " + path);
   }
   num_records_ = nrecords;
@@ -330,10 +307,9 @@ Status SeqFileReader::Init(const std::string& path) {
   hin.remove_prefix(4);
   uint32_t version = 0;
   MANIMAL_RETURN_IF_ERROR(GetVarint32(&hin, &version));
-  if (version != 1 && version != 2) {
+  if (version != kVersion) {
     return Status::Corruption("bad seqfile version");
   }
-  version_ = version;
   std::string_view schema_text;
   MANIMAL_RETURN_IF_ERROR(GetLengthPrefixed(&hin, &schema_text));
   MANIMAL_ASSIGN_OR_RETURN(meta_.original_schema,
@@ -365,29 +341,30 @@ Status SeqFileReader::Init(const std::string& path) {
   if (hin.empty()) return Status::Corruption("truncated seqfile header");
   meta_.has_key_slot = hin[0] != 0;
   hin.remove_prefix(1);
-  bool has_frames = false;
-  if (version_ >= 2) {
-    std::string_view chain_spec;
-    MANIMAL_RETURN_IF_ERROR(GetLengthPrefixed(&hin, &chain_spec));
-    meta_.codec_chain = std::string(chain_spec);
-    if (hin.empty()) return Status::Corruption("truncated seqfile header");
-    const uint8_t flags = static_cast<uint8_t>(hin[0]);
-    hin.remove_prefix(1);
-    has_frames = (flags & kFlagSkipFrames) != 0;
-    uint32_t nframe = 0;
-    MANIMAL_RETURN_IF_ERROR(GetVarint32(&hin, &nframe));
-    for (uint32_t i = 0; i < nframe; ++i) {
-      uint32_t v = 0;
-      MANIMAL_RETURN_IF_ERROR(GetVarint32(&hin, &v));
-      frame_slots_.push_back(static_cast<int>(v));
-    }
-    if (has_frames != !frame_slots_.empty()) {
-      return Status::Corruption("seqfile frame flag/slot mismatch");
-    }
+  std::string_view codec;
+  MANIMAL_RETURN_IF_ERROR(GetLengthPrefixed(&hin, &codec));
+  if (!codec.empty() && codec != kCodecMlz) {
+    return Status::Corruption("seqfile names unknown codec: " +
+                              std::string(codec));
+  }
+  meta_.codec_chain = std::string(codec);
+  if (hin.empty()) return Status::Corruption("truncated seqfile header");
+  const bool has_frames =
+      (static_cast<uint8_t>(hin[0]) & kFlagSkipFrames) != 0;
+  hin.remove_prefix(1);
+  uint32_t nframe = 0;
+  MANIMAL_RETURN_IF_ERROR(GetVarint32(&hin, &nframe));
+  for (uint32_t i = 0; i < nframe; ++i) {
+    uint32_t v = 0;
+    MANIMAL_RETURN_IF_ERROR(GetVarint32(&hin, &v));
+    frame_slots_.push_back(static_cast<int>(v));
+  }
+  if (has_frames != !frame_slots_.empty()) {
+    return Status::Corruption("seqfile frame flag/slot mismatch");
   }
 
-  // Footer body: offsets, cumulative counts, then (v2) the skip
-  // frames, sized by the frame-slot list just parsed.
+  // Footer body: offsets, cumulative counts, then the skip frames,
+  // sized by the frame-slot list just parsed.
   if (nblocks > 0) {
     const uint64_t nframe = frame_slots_.size();
     const uint64_t footer_body = nblocks * 16 + nblocks * nframe * 16;
@@ -547,12 +524,7 @@ Status SeqFileReader::ReadBlockBody(RandomAccessFile* file,
   if (in.size() != body_len) {
     return Status::Corruption("block length mismatch");
   }
-  body->clear();
-  if (version_ >= 2) {
-    MANIMAL_RETURN_IF_ERROR(CodecChain::DecompressBlock(in, body));
-  } else {
-    body->assign(in.data(), in.size());
-  }
+  MANIMAL_RETURN_IF_ERROR(DecodeBlockFrame(in, body));
   *bytes_decoded += body->size();
   return Status::OK();
 }

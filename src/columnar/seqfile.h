@@ -9,31 +9,35 @@
 //   * dictionary rows (string fields stored as codes; paper Table 6).
 //
 // Layout:
-//   header: "MSEQ" magic, varint version,
+//   header: "MSEQ" magic, varint version (2),
 //           length-prefixed original-schema string,
 //           length-prefixed stored-schema string,
 //           varint field-map length + varints (stored slot i holds
 //             original field field_map[i]),
 //           varint delta-slot count + varints (stored slots),
 //           varint dict-slot count + varints (stored slots),
-//           length-prefixed dictionary sidecar path ("" if none)
-//           [v2+] length-prefixed block codec chain spec ("" = none),
-//                 flags byte (bit 0: footer has skip frames),
-//                 varint frame-slot count + varints (stored slots)
-//   blocks: fixed32 body length, body = varint record count + records
-//           [v2] the body is codec-framed (columnar/codec/codec.h):
-//                chain method bytes + raw size + compressed payload
+//           length-prefixed dictionary sidecar path ("" if none),
+//           has-key-slot byte,
+//           length-prefixed block codec name ("mlz", or "" for raw),
+//           flags byte (bit 0: footer has skip frames),
+//           varint frame-slot count + varints (stored slots)
+//   blocks: fixed32 frame length, then the block frame
+//           (columnar/codec/codec.h): codec method bytes + raw size +
+//           payload, where the raw body is varint record count +
+//           records
 //   footer: fixed64 * nblocks (block offsets),
 //           fixed64 * nblocks (records preceding each block),
-//           [v2, flag bit 0] per block, per frame slot: fixed64 min,
-//                fixed64 max of the slot's decoded i64 values — the
-//                skip frames direct predicate evaluation uses to prove
-//                whole blocks cannot match without decompressing them
+//           per block, per frame slot: fixed64 min, fixed64 max of
+//             the slot's decoded i64 values — the skip frames direct
+//             predicate evaluation uses to prove whole blocks cannot
+//             match without reading them,
 //           fixed64 nblocks, fixed64 nrecords,
 //           fixed64 footer offset, fixed32 magic
 //
-// Version 1 files (no block codec chain, no skip frames) are written
-// whenever neither feature is requested, and remain fully readable.
+// Every file carries skip frames for every i64-valued stored slot
+// (plain i64, delta, dictionary code), whatever its codec; opaque
+// schemas have no slots to frame. Version 1 (unframed) files are
+// rejected as corrupt.
 //
 // Blocks are the split granularity for the execution fabric: a map
 // task owns a contiguous block range. Each RecordStream opens its own
@@ -54,7 +58,6 @@
 namespace manimal::columnar {
 
 class DictionaryBuilder;
-class CodecChain;
 
 struct SeqFileMeta {
   Schema original_schema;       // schema of the logical input records
@@ -67,8 +70,8 @@ struct SeqFileMeta {
   // ORIGINAL map() key so user programs observe identical inputs; raw
   // files instead synthesize the key as the global record ordinal.
   bool has_key_slot = false;
-  // Block-stage codec chain spec (e.g. "mlz", "rle+mlz"); "" means
-  // blocks are stored raw. See columnar/codec/codec.h.
+  // Block codec name: "mlz", or "" when blocks are stored raw. See
+  // columnar/codec/codec.h.
   std::string codec_chain;
 
   bool IsPlain() const {
@@ -91,12 +94,9 @@ class SeqFileWriter {
     // Column-group sibling files use this so their blocks stay
     // row-aligned and one split range is valid across all of them.
     uint32_t records_per_block = 0;
-    // Block-stage codec chain (e.g. "mlz", "rle+mlz"; "" = raw
-    // blocks). Non-empty forces the v2 on-disk format.
-    std::string codec_chain;
-    // Record per-block min/max skip frames for every i64-valued
-    // stored slot (plain i64, delta, dictionary-code). Forces v2.
-    bool skip_frames = false;
+    // Compress blocks with mlz; raw blocks otherwise. Sets
+    // SeqFileMeta::codec_chain.
+    bool mlz = false;
   };
 
   static Result<std::unique_ptr<SeqFileWriter>> Create(
@@ -105,8 +105,6 @@ class SeqFileWriter {
       const std::string& path, SeqFileMeta meta) {
     return Create(path, std::move(meta), Options());
   }
-
-  ~SeqFileWriter();
 
   // Required before Append iff meta.dict_slots is non-empty; the
   // caller owns the builder and saves it to meta.dict_path afterwards.
@@ -129,7 +127,7 @@ class SeqFileWriter {
   uint64_t num_records() const { return num_records_; }
 
   // Total uncompressed block-body bytes appended so far — what the
-  // file would weigh without the block codec chain. The catalog
+  // file would weigh without the block codec. The catalog
   // records this next to the compressed artifact size so the cost
   // model can price bytes-decoded separately from bytes-scanned.
   uint64_t raw_body_bytes() const { return raw_body_bytes_; }
@@ -141,8 +139,6 @@ class SeqFileWriter {
   uint32_t last_index_in_block() const { return last_index_in_block_; }
 
  private:
-  // Out-of-line: members include unique_ptr<CodecChain>, and
-  // CodecChain is only forward-declared here.
   SeqFileWriter(std::unique_ptr<WritableFile> file, SeqFileMeta meta,
                 Options options);
 
@@ -165,9 +161,7 @@ class SeqFileWriter {
   uint64_t last_block_ = 0;
   uint32_t last_index_in_block_ = 0;
 
-  // ---- v2 state ----
-  bool v2_ = false;
-  std::unique_ptr<CodecChain> chain_;  // null when codec_chain is ""
+  // ---- skip frames ----
   std::vector<int> frame_slots_;       // stored slots with skip frames
   std::vector<int> slot_frame_index_;  // stored slot -> frame idx | -1
   std::vector<int64_t> block_min_, block_max_;  // current block, per frame
@@ -185,9 +179,8 @@ class SeqFileReader
   uint64_t file_size() const { return file_size_; }
   const std::string& path() const { return path_; }
   uint64_t num_records() const { return num_records_; }
-  uint32_t version() const { return version_; }
 
-  // ---- skip frames (v2, docs: DESIGN.md "Codec framework") ----
+  // ---- skip frames (DESIGN.md "Codec framework & direct operation") ----
   // Per-block [min, max] bounds of every i64-valued stored slot. A
   // block whose bounds prove the scan predicate false for every row
   // can be skipped without being read or decompressed.
@@ -337,15 +330,14 @@ class SeqFileReader
                       bool borrow_strings = false) const;
 
   // Reads block `b` and materializes its raw (decompressed) body into
-  // *body. v2 bodies are codec-framed: an unregistered method byte or
-  // a raw-size mismatch is a Corruption, never silent garbage.
+  // *body. An unknown codec method byte or a raw-size mismatch is a
+  // Corruption, never silent garbage.
   Status ReadBlockBody(RandomAccessFile* file, uint64_t block,
                        std::string* body, uint64_t* bytes_read,
                        uint64_t* bytes_decoded) const;
 
   std::string path_;
   SeqFileMeta meta_;
-  uint32_t version_ = 1;
   std::vector<uint64_t> block_offsets_;
   std::vector<uint64_t> block_sizes_;
   // Records preceding each block (for ordinal-key synthesis on raw
@@ -355,7 +347,7 @@ class SeqFileReader
   uint64_t num_records_ = 0;
   std::vector<bool> is_delta_slot_;
   std::vector<bool> is_dict_slot_;
-  // v2 skip frames: block-major (min, max) per frame slot.
+  // Skip frames: block-major (min, max) per frame slot.
   std::vector<int> frame_slots_;
   std::vector<int64_t> frames_;
 };

@@ -28,6 +28,9 @@ uint64_t HashPath(const std::string& path) {
 }
 
 thread_local bool tls_armed = false;
+// The job and task of the innermost armed scope on this thread.
+thread_local std::string_view tls_job;
+thread_local std::string_view tls_task;
 
 }  // namespace
 
@@ -116,8 +119,8 @@ Status FaultyEnv::Evaluate(FaultOp op, const std::string& path,
   if (!fire) return Status::OK();
   ++stats_.injected;
   *decision = Mix64(config_.seed ^ stats_.evaluated);
-  obs::Emit<obs::kFaultInjected>(FaultOpName(op), path, stats_.evaluated,
-                                 stats_.injected);
+  obs::Emit<obs::kFaultInjected>(tls_job, tls_task, FaultOpName(op), path,
+                                 stats_.evaluated, stats_.injected);
   return Status::IOError("injected fault: " +
                          std::string(FaultOpName(op)) + " " + path);
 }
@@ -145,10 +148,18 @@ Status FaultyEnv::MaybeInjectWrite(const std::string& path, size_t len,
   return st;
 }
 
-ScopedFaultArming::ScopedFaultArming() : was_armed_(tls_armed) {
+ScopedFaultArming::ScopedFaultArming(std::string_view job,
+                                     std::string_view task)
+    : was_armed_(tls_armed), outer_job_(tls_job), outer_task_(tls_task) {
   tls_armed = true;
+  tls_job = job;
+  tls_task = task;
 }
 
-ScopedFaultArming::~ScopedFaultArming() { tls_armed = was_armed_; }
+ScopedFaultArming::~ScopedFaultArming() {
+  tls_armed = was_armed_;
+  tls_job = outer_job_;
+  tls_task = outer_task_;
+}
 
 }  // namespace manimal

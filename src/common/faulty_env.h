@@ -31,6 +31,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 
@@ -118,10 +119,14 @@ class FaultyEnv {
 };
 
 // Arms fault injection for the current thread for the scope's
-// lifetime. Nestable.
+// lifetime. Nestable. `job` and `task` name the work the scope runs
+// (the engine passes its job and task ids); every fault injected
+// inside the scope is reported with them. Both views must outlive the
+// scope.
 class ScopedFaultArming {
  public:
-  ScopedFaultArming();
+  explicit ScopedFaultArming(std::string_view job = {},
+                             std::string_view task = {});
   ~ScopedFaultArming();
 
   ScopedFaultArming(const ScopedFaultArming&) = delete;
@@ -129,6 +134,8 @@ class ScopedFaultArming {
 
  private:
   bool was_armed_;
+  std::string_view outer_job_;
+  std::string_view outer_task_;
 };
 
 // RAII enable/disable for tests: enables with `config` on

@@ -183,8 +183,11 @@ Result<exec::JobResult> ManimalSystem::RunBaseline(
   exec::JobConfig config = MakeJobConfig(submission.output_path);
   // The conventional run is the ground truth every differential check
   // compares against: pin the VM so neither Options::backend nor the
-  // MANIMAL_BACKEND env can route it through a native kernel.
+  // MANIMAL_BACKEND env can route it through a native kernel, and
+  // keep it a full scan — every input carries skip frames, so direct
+  // evaluation would otherwise elide blocks here too.
   config.backend = exec::Backend::kVm;
+  config.direct_eval = false;
   return exec::RunJob(descriptor, config);
 }
 

@@ -480,7 +480,7 @@ void JobRunner::RunChain(TaskControl* ctl, char kind, int index,
     Result<CommitFn> commit = [&]() -> Result<CommitFn> {
       // Faults are injected only inside armed scopes: everything a
       // retry can recover from, nothing it can't.
-      ScopedFaultArming arm;
+      ScopedFaultArming arm(cfg_.job_id, task);
       return attempt_fn(chain, attempt);
     }();
     if (!commit.ok()) {
@@ -495,7 +495,7 @@ void JobRunner::RunChain(TaskControl* ctl, char kind, int index,
     }
     Status commit_status;
     {
-      ScopedFaultArming arm;
+      ScopedFaultArming arm(cfg_.job_id, task);
       commit_status = (*commit)();
     }
     if (commit_status.ok()) {

@@ -146,7 +146,7 @@ struct JobConfig {
   ReplanFn replan_fn;
 
   // ---- direct evaluation on compressed blocks ----
-  // When the input is a v2 seqfile with skip frames and the map's emit
+  // When the input seqfile has skip frames and the map's emit
   // condition is a DNF of simple total comparisons, prove per block
   // from the footer's [min, max] frames that no row can match, and
   // elide such blocks from the scan without reading or decompressing

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
+#include <string_view>
 
 #include "analyzer/expr_eval.h"
-#include "columnar/codec/selector.h"
+#include "columnar/codec/codec.h"
 #include "columnar/column_groups.h"
 #include "columnar/dictionary.h"
 #include "columnar/seqfile.h"
@@ -34,13 +34,18 @@ uint64_t Fnv1a(std::string_view s) {
   return h;
 }
 
-// Stats collection rides along with every build scan unless
-// MANIMAL_STATS=0|off|false opts out.
-bool StatsCollectionEnabled() {
-  const char* v = std::getenv("MANIMAL_STATS");
-  if (v == nullptr || v[0] == '\0') return true;
-  return std::strcmp(v, "0") != 0 && std::strcmp(v, "off") != 0 &&
-         std::strcmp(v, "false") != 0;
+// Whether re-encoded artifacts compress their blocks with mlz: yes
+// unless MANIMAL_CODECS is off/0/false. Unset, "auto" and "mlz" all
+// mean mlz; any other value fails the build, so a typo never silently
+// writes raw blocks.
+Result<bool> ArtifactMlzFromEnv() {
+  const char* env = std::getenv("MANIMAL_CODECS");
+  const std::string_view v = env == nullptr ? "" : env;
+  if (v.empty() || v == "auto" || v == columnar::kCodecMlz) return true;
+  if (v == "off" || v == "0" || v == "false") return false;
+  return Status::InvalidArgument(
+      "MANIMAL_CODECS must be auto, mlz or off, not '" + std::string(v) +
+      "'");
 }
 
 // Cap on how many leading record fields get per-field statistics.
@@ -132,9 +137,8 @@ Result<IndexBuildResult> BuildIndexArtifact(
   // points at it; the cost model estimates predicate selectivity from
   // these instead of the root-fanout heuristic.
   stats::TableStatsCollector stats_collector;
-  const bool collect_stats = StatsCollectionEnabled();
   std::vector<stats::ColumnStatsCollector*> field_stats;
-  if (collect_stats && !input_schema.opaque()) {
+  if (!input_schema.opaque()) {
     const int nfields = std::min(input_schema.num_fields(), kMaxStatsFields);
     field_stats.reserve(nfields);
     for (int i = 0; i < nfields; ++i) {
@@ -143,12 +147,10 @@ Result<IndexBuildResult> BuildIndexArtifact(
     }
   }
   stats::ColumnStatsCollector* key_stats =
-      collect_stats && spec.btree
-          ? stats_collector.Column("expr:" + spec.key_expr->ToString())
-          : nullptr;
+      spec.btree ? stats_collector.Column("expr:" + spec.key_expr->ToString())
+                 : nullptr;
   std::string field_key_bytes;
   auto observe_record = [&](const Record& record) {
-    if (!collect_stats) return;
     stats_collector.CountRow();
     for (size_t i = 0; i < field_stats.size() && i < record.size(); ++i) {
       field_key_bytes.clear();
@@ -158,7 +160,7 @@ Result<IndexBuildResult> BuildIndexArtifact(
     }
   };
   auto finish_stats = [&]() -> Status {
-    if (!collect_stats || result.records == 0) return Status::OK();
+    if (result.records == 0) return Status::OK();
     const std::string stats_path = artifact_dir + "/stats-" + tag + ".json";
     MANIMAL_RETURN_IF_ERROR(
         stats_collector.Finish().SaveTo(stats_path + ".inprogress"));
@@ -315,50 +317,21 @@ Result<IndexBuildResult> BuildIndexArtifact(
     const std::string artifact_path =
         artifact_dir + "/seq-" + tag + ".msq";
 
-    // Per-column codec-chain selection (columnar/codec/selector.h):
-    // sample a prefix of the stored records, sketch their columns,
-    // and pick the block codec chain before the writer is created.
-    // The policy (MANIMAL_CODECS) applies to re-encoded artifacts
-    // only — raw/base files stay in the v1 format.
-    MANIMAL_ASSIGN_OR_RETURN(columnar::CodecPolicy codec_policy,
-                             columnar::CodecPolicy::FromEnv());
-    columnar::CodecSelector selector(codec_policy, meta);
-
-    MANIMAL_ASSIGN_OR_RETURN(columnar::SeqFileReader::RecordStream stream,
-                             reader->ScanAll());
-    int64_t key = 0;
-    Record record;
-    std::vector<std::pair<int64_t, Record>> sampled;
-    bool exhausted = false;
-    while (sampled.size() < columnar::CodecSelector::kSampleCap) {
-      MANIMAL_ASSIGN_OR_RETURN(bool more, stream.Next(&key, &record));
-      if (!more) {
-        exhausted = true;
-        break;
-      }
-      Record stored = project_record(record);
-      selector.Observe(stored);
-      observe_record(record);
-      sampled.emplace_back(key, std::move(stored));
-    }
-    const columnar::CodecSelection codec_sel = selector.Choose();
-    build_span.AddArg("codec", codec_sel.reason);
-
     columnar::SeqFileWriter::Options writer_options;
-    writer_options.codec_chain = codec_sel.chain;
-    writer_options.skip_frames = codec_sel.skip_frames;
+    MANIMAL_ASSIGN_OR_RETURN(writer_options.mlz, ArtifactMlzFromEnv());
+    build_span.AddArg("codec", writer_options.mlz ? columnar::kCodecMlz
+                                                  : "raw");
     MANIMAL_ASSIGN_OR_RETURN(
         std::unique_ptr<columnar::SeqFileWriter> writer,
         columnar::SeqFileWriter::Create(artifact_path + ".inprogress",
                                         meta, writer_options));
     if (spec.dictionary) writer->set_dict_builder(&dict_builder);
 
-    for (auto& [skey, stored] : sampled) {
-      MANIMAL_RETURN_IF_ERROR(writer->Append(skey, stored));
-      ++result.records;
-    }
-    sampled.clear();
-    while (!exhausted) {
+    MANIMAL_ASSIGN_OR_RETURN(columnar::SeqFileReader::RecordStream stream,
+                             reader->ScanAll());
+    int64_t key = 0;
+    Record record;
+    for (;;) {
       MANIMAL_ASSIGN_OR_RETURN(bool more, stream.Next(&key, &record));
       if (!more) break;
       observe_record(record);
@@ -366,7 +339,7 @@ Result<IndexBuildResult> BuildIndexArtifact(
           writer->Append(key, project_record(record)));
       ++result.records;
     }
-    result.entry.codec_chain = codec_sel.chain;
+    result.entry.codec_chain = writer_options.mlz ? columnar::kCodecMlz : "";
     result.entry.raw_bytes = writer->raw_body_bytes();
     MANIMAL_ASSIGN_OR_RETURN(uint64_t bytes, writer->Finish());
     MANIMAL_RETURN_IF_ERROR(

@@ -62,7 +62,8 @@ inline constexpr EventSpec kShuffleSpill = {
 inline constexpr EventSpec kShuffleMerge = {
     "shuffle_merge", {"job", "partition", "disk_runs", "memory_runs"}};
 inline constexpr EventSpec kFaultInjected = {
-    "fault_injected", {"op", "path", "site_ordinal", "injected_so_far"}};
+    "fault_injected",
+    {"job", "task", "op", "path", "site_ordinal", "injected_so_far"}};
 inline constexpr EventSpec kPlanSwitched = {
     "plan_switched",
     {"job", "after_splits", "estimated", "observed", "drift_ratio", "from",

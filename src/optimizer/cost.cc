@@ -271,7 +271,7 @@ Result<CandidateCost> EstimateArtifactCost(
   cost.detail =
       "artifact scan of " + HumanBytes(entry.artifact_bytes);
 
-  // Block-compressed (v2) artifacts are priced on BOTH axes: the
+  // Re-encoded SeqFile artifacts are priced on BOTH axes: the
   // compressed bytes scanned off disk plus a discounted charge for the
   // uncompressed bytes the scan must materialize (decompression is
   // CPU, not I/O — cheaper per byte than the disk rate the unit cost

@@ -1,9 +1,10 @@
-// Tests for the chained block codec framework (columnar/codec/): raw
-// codec round-trips, chain parse/frame semantics, fuzzed random
-// chains over adversarial column data, SeqFile v2 round-trips with
-// skip-frame verification, corrupt-frame handling (an unregistered
-// method byte must be a Corruption, never silent garbage), the
-// codec-chain selector, and the catalog's codec columns.
+// Tests for the SeqFile block codec (columnar/codec/): raw and mlz
+// frame round-trips over adversarial and fuzzed column data, SeqFile
+// round-trips with skip-frame verification on every file, corrupt
+// frame and header handling (an unknown method byte, a multi-codec
+// frame or a version-1 header must be a Corruption, never silent
+// garbage), the MANIMAL_CODECS artifact policy, direct evaluation end
+// to end, and the catalog's codec columns.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +16,6 @@
 #include "analyzer/analyzer.h"
 #include "analyzer/index_gen.h"
 #include "columnar/codec/codec.h"
-#include "columnar/codec/selector.h"
 #include "columnar/dictionary.h"
 #include "columnar/seqfile.h"
 #include "common/coding.h"
@@ -41,16 +41,13 @@ Record Row(const std::string& name, int64_t a, int64_t b) {
   return {Value::Str(name), Value::I64(a), Value::I64(b)};
 }
 
-// ---------------- raw codecs ----------------
+// ---------------- frames ----------------
 
-std::string RoundTrip(const char* chain_spec, const std::string& in) {
-  auto chain = CodecChain::Parse(chain_spec);
-  EXPECT_TRUE(chain.ok()) << chain.status().ToString();
+std::string RoundTrip(bool compress, const std::string& in) {
   std::string framed;
-  EXPECT_OK(chain->CompressBlock(in, &framed));
-  std::string out, spec;
-  EXPECT_OK(CodecChain::DecompressBlock(framed, &out, &spec));
-  EXPECT_EQ(spec, chain->ToString());
+  EncodeBlockFrame(in, compress, &framed);
+  std::string out;
+  EXPECT_OK(DecodeBlockFrame(framed, &out));
   return out;
 }
 
@@ -69,14 +66,11 @@ TEST(CodecTest, EveryCodecRoundTripsAdversarialPayloads) {
   }
   const std::string payloads[] = {"", "x", "ab", zeros, random_bytes,
                                   text, runs};
-  const char* chains[] = {"",        "none", "rle",
-                          "mlz",     "rle+mlz", "mlz+rle",
-                          "rle+rle", "mlz+mlz"};
-  for (const char* chain : chains) {
+  for (bool compress : {false, true}) {
     for (const std::string& payload : payloads) {
-      SCOPED_TRACE(std::string("chain '") + chain + "' payload size " +
-                   std::to_string(payload.size()));
-      EXPECT_EQ(RoundTrip(chain, payload), payload);
+      SCOPED_TRACE(std::string(compress ? "mlz" : "raw") +
+                   " payload size " + std::to_string(payload.size()));
+      EXPECT_EQ(RoundTrip(compress, payload), payload);
     }
   }
 }
@@ -84,24 +78,12 @@ TEST(CodecTest, EveryCodecRoundTripsAdversarialPayloads) {
 TEST(CodecTest, MlzActuallyCompressesRepetitiveData) {
   std::string in;
   for (int i = 0; i < 500; ++i) in += "the quick brown fox 42 ";
-  auto chain = CodecChain::Parse("mlz");
-  ASSERT_OK(chain.status());
   std::string framed;
-  ASSERT_OK(chain->CompressBlock(in, &framed));
+  EncodeBlockFrame(in, /*compress=*/true, &framed);
   EXPECT_LT(framed.size(), in.size() / 4);
 }
 
-TEST(CodecTest, RleActuallyCompressesRuns) {
-  std::string in(10000, 'a');
-  auto chain = CodecChain::Parse("rle");
-  ASSERT_OK(chain.status());
-  std::string framed;
-  ASSERT_OK(chain->CompressBlock(in, &framed));
-  EXPECT_LT(framed.size(), 300u);
-}
-
 TEST(CodecTest, FuzzRandomChainsOverRandomColumnData) {
-  const char* chains[] = {"", "rle", "mlz", "rle+mlz", "mlz+rle"};
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
     // Column-shaped data: blocks of varint-ish small ints, repeated
@@ -122,59 +104,66 @@ TEST(CodecTest, FuzzRandomChainsOverRandomColumnData) {
           }
       }
     }
-    const char* chain = chains[rng.Uniform(5)];
-    SCOPED_TRACE("seed " + std::to_string(seed) + " chain '" + chain +
-                 "' rows " + std::to_string(rows));
-    EXPECT_EQ(RoundTrip(chain, payload), payload);
+    const bool compress = rng.Uniform(2) == 1;
+    SCOPED_TRACE("seed " + std::to_string(seed) + " codec " +
+                 (compress ? "mlz" : "raw") + " rows " +
+                 std::to_string(rows));
+    EXPECT_EQ(RoundTrip(compress, payload), payload);
   }
 }
 
-// ---------------- frames, registry, corruption ----------------
-
-TEST(CodecTest, ParseRejectsUnknownNamesAndNormalizes) {
-  EXPECT_TRUE(CodecChain::Parse("").ok());
-  EXPECT_TRUE(CodecChain::Parse("none").ok());
-  EXPECT_EQ(CodecChain::Parse("none")->ToString(), "");
-  EXPECT_EQ(CodecChain::Parse("rle+mlz")->ToString(), "rle+mlz");
-  auto bad = CodecChain::Parse("zstd");
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_FALSE(CodecChain::Parse("rle++mlz").ok());
+TEST(CodecTest, FrameBytesAreRawOrOneMlzMethod) {
+  std::string raw_frame, mlz_frame;
+  EncodeBlockFrame("hello", /*compress=*/false, &raw_frame);
+  EncodeBlockFrame("hello", /*compress=*/true, &mlz_frame);
+  EXPECT_EQ(raw_frame, std::string("\x00\x05hello", 7));
+  ASSERT_GE(mlz_frame.size(), 3u);
+  EXPECT_EQ(mlz_frame[0], '\x01');
+  EXPECT_EQ(static_cast<uint8_t>(mlz_frame[1]), kCodecMethodMlz);
+  EXPECT_EQ(mlz_frame[2], '\x05');
 }
 
-TEST(CodecTest, RegistryLookups) {
-  ASSERT_OK_AND_ASSIGN(const ICompressionCodec* rle,
-                       CodecRegistry::Get().ByName("rle"));
-  EXPECT_EQ(rle->method_byte(), kCodecMethodRle);
-  auto unknown_name = CodecRegistry::Get().ByName("nope");
-  ASSERT_FALSE(unknown_name.ok());
-  EXPECT_EQ(unknown_name.status().code(), StatusCode::kInvalidArgument);
-  auto unknown_method = CodecRegistry::Get().ByMethod(0x7F);
-  ASSERT_FALSE(unknown_method.ok());
-  EXPECT_EQ(unknown_method.status().code(), StatusCode::kCorruption);
+TEST(CodecTest, FrameRejectsCodecChainsAndUnknownMethods) {
+  std::string framed;
+  EncodeBlockFrame("hello", /*compress=*/true, &framed);
+  std::string out;
+  // n > 1: a two-codec chain (here mlz twice) is no longer a format.
+  std::string chained = framed;
+  chained[0] = '\x02';
+  chained.insert(1, 1, static_cast<char>(kCodecMethodMlz));
+  Status st = DecodeBlockFrame(chained, &out);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kCorruption);
+  // n == 1 with any method byte other than mlz's — including the
+  // retired rle (0x02) and none (0x01) bytes.
+  for (uint8_t method : {0x00, 0x01, 0x02, 0x7F, 0xFF}) {
+    std::string bad = framed;
+    bad[1] = static_cast<char>(method);
+    st = DecodeBlockFrame(bad, &out);
+    ASSERT_FALSE(st.ok()) << static_cast<int>(method);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption);
+    EXPECT_NE(st.message().find("unknown codec method byte"),
+              std::string::npos)
+        << st.ToString();
+  }
 }
 
 TEST(CodecTest, DecompressRejectsCorruptFrames) {
   std::string out;
   // Truncated / empty frames.
-  EXPECT_FALSE(CodecChain::DecompressBlock("", &out).ok());
-  EXPECT_FALSE(CodecChain::DecompressBlock(std::string("\x01", 1), &out).ok());
-  // Unregistered method byte in the chain.
-  std::string framed;
-  ASSERT_OK(CodecChain().CompressBlock("hello", &framed));
-  ASSERT_EQ(framed[0], '\0');  // empty chain
-  framed[0] = '\x01';          // claim one codec...
-  framed.insert(1, 1, '\x7F'); // ...with an unregistered method byte
-  out.clear();
-  Status st = CodecChain::DecompressBlock(framed, &out);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kCorruption);
-  EXPECT_NE(st.message().find("unregistered codec"), std::string::npos);
-  // Recorded raw size disagrees with the decoded payload.
-  framed.clear();
-  ASSERT_OK(CodecChain().CompressBlock("hello", &framed));
-  framed[1] = '\x04';  // raw_size varint: claim 4, payload is 5
-  EXPECT_FALSE(CodecChain::DecompressBlock(framed, &out).ok());
+  EXPECT_FALSE(DecodeBlockFrame("", &out).ok());
+  EXPECT_FALSE(DecodeBlockFrame(std::string("\x01", 1), &out).ok());
+  // Recorded raw size disagrees with the decoded payload, raw and mlz.
+  for (bool compress : {false, true}) {
+    std::string framed;
+    EncodeBlockFrame("hello", compress, &framed);
+    const size_t size_pos = compress ? 2 : 1;
+    ASSERT_EQ(framed[size_pos], '\x05');
+    framed[size_pos] = '\x04';  // claim 4, payload decodes to 5
+    Status st = DecodeBlockFrame(framed, &out);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), StatusCode::kCorruption);
+  }
   // Random garbage decompression must fail cleanly, never crash.
   Rng rng(5);
   for (int trial = 0; trial < 500; ++trial) {
@@ -184,11 +173,11 @@ TEST(CodecTest, DecompressRejectsCorruptFrames) {
       garbage.push_back(static_cast<char>(rng.Uniform(256)));
     }
     out.clear();
-    (void)CodecChain::DecompressBlock(garbage, &out);
+    (void)DecodeBlockFrame(garbage, &out);
   }
 }
 
-// ---------------- seqfile v2 ----------------
+// ---------------- seqfile ----------------
 
 void WriteNumFile(const std::string& path, int rows,
                   SeqFileWriter::Options options) {
@@ -209,16 +198,17 @@ TEST(SeqFileV2Test, ChainedFileRoundTripsAndReportsBytesDecoded) {
   SeqFileWriter::Options raw_opts;
   WriteNumFile(plain, 400, raw_opts);
   SeqFileWriter::Options packed_opts;
-  packed_opts.codec_chain = "rle+mlz";
-  packed_opts.skip_frames = true;
+  packed_opts.mlz = true;
   WriteNumFile(packed, 400, packed_opts);
 
   ASSERT_OK_AND_ASSIGN(auto plain_reader, SeqFileReader::Open(plain));
   ASSERT_OK_AND_ASSIGN(auto packed_reader, SeqFileReader::Open(packed));
-  EXPECT_EQ(plain_reader->version(), 1u);
-  EXPECT_EQ(packed_reader->version(), 2u);
-  EXPECT_EQ(packed_reader->meta().codec_chain, "rle+mlz");
-  EXPECT_TRUE(packed_reader->has_skip_frames());
+  EXPECT_EQ(plain_reader->meta().codec_chain, "");
+  EXPECT_EQ(packed_reader->meta().codec_chain, "mlz");
+  // Skip frames do not depend on the codec: both files carry them for
+  // the two i64 columns.
+  EXPECT_EQ(plain_reader->frame_slots(), (std::vector<int>{1, 2}));
+  EXPECT_EQ(packed_reader->frame_slots(), (std::vector<int>{1, 2}));
   // The compressible integer columns must actually shrink on disk.
   EXPECT_LT(packed_reader->file_size(), plain_reader->file_size());
 
@@ -248,7 +238,6 @@ TEST(SeqFileV2Test, SkipFramesMatchBruteForceBounds) {
   TempDir dir("frames");
   const std::string path = dir.file("t.msq");
   SeqFileWriter::Options options;
-  options.skip_frames = true;
   options.target_block_bytes = 512;  // force many blocks
   Rng rng(7);
   std::vector<std::pair<int64_t, int64_t>> rows;
@@ -298,7 +287,6 @@ TEST(SeqFileV2Test, ScanHonorsSkipFilterAndCountsSkips) {
   TempDir dir("skipscan");
   const std::string path = dir.file("t.msq");
   SeqFileWriter::Options options;
-  options.skip_frames = true;
   options.records_per_block = 100;
   WriteNumFile(path, 400, options);
   ASSERT_OK_AND_ASSIGN(auto reader, SeqFileReader::Open(path));
@@ -325,20 +313,20 @@ TEST(SeqFileV2Test, ScanHonorsSkipFilterAndCountsSkips) {
   EXPECT_EQ(stream.records_skipped(), 200u);
 }
 
-// The satellite contract: a block whose frame names a method byte no
-// registered codec owns must surface as Corruption from the reader,
-// not as silently-garbled records.
+// A block whose frame names a method byte other than mlz's must
+// surface as Corruption from the reader, not as silently-garbled
+// records.
 TEST(SeqFileV2Test, UnregisteredMethodByteIsCorruption) {
   TempDir dir("badmethod");
   const std::string path = dir.file("t.msq");
   SeqFileWriter::Options options;
-  options.codec_chain = "rle";
+  options.mlz = true;
   WriteNumFile(path, 50, options);
 
-  // Patch the first block's first chain method byte on disk. Layout:
-  // footer tail's third fixed64 is the footer offset; the footer opens
-  // with the per-block offsets; a block is fixed32 body_len, then the
-  // frame's [u8 chain_len][method bytes...].
+  // Patch the first block's method byte on disk. Layout: footer tail's
+  // third fixed64 is the footer offset; the footer opens with the
+  // per-block offsets; a block is fixed32 frame length, then the
+  // frame's [u8 n][method byte].
   ASSERT_OK_AND_ASSIGN(std::string data, ReadFileToString(path));
   ASSERT_GT(data.size(), 28u);
   const uint64_t footer_offset =
@@ -346,8 +334,8 @@ TEST(SeqFileV2Test, UnregisteredMethodByteIsCorruption) {
   const uint64_t block_offset = DecodeFixed64(data.data() + footer_offset);
   const size_t method_pos = block_offset + 4 + 1;
   ASSERT_LT(method_pos, data.size());
-  ASSERT_EQ(static_cast<uint8_t>(data[method_pos - 1]), 1u);  // chain_len
-  ASSERT_EQ(static_cast<uint8_t>(data[method_pos]), kCodecMethodRle);
+  ASSERT_EQ(static_cast<uint8_t>(data[method_pos - 1]), 1u);  // n
+  ASSERT_EQ(static_cast<uint8_t>(data[method_pos]), kCodecMethodMlz);
   data[method_pos] = '\x7F';
   ASSERT_OK(WriteStringToFile(path, data));
 
@@ -358,9 +346,28 @@ TEST(SeqFileV2Test, UnregisteredMethodByteIsCorruption) {
   auto more = stream.Next(&key, &record);
   ASSERT_FALSE(more.ok());
   EXPECT_EQ(more.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(more.status().message().find("unregistered codec"),
+  EXPECT_NE(more.status().message().find("unknown codec method byte"),
             std::string::npos)
       << more.status().ToString();
+}
+
+// Version 1 (unframed) files are no longer a format: no code path
+// writes one, and the reader refuses the header.
+TEST(SeqFileV2Test, Version1HeaderIsCorruption) {
+  TempDir dir("v1");
+  const std::string path = dir.file("t.msq");
+  WriteNumFile(path, 50, SeqFileWriter::Options());
+  ASSERT_OK_AND_ASSIGN(std::string data, ReadFileToString(path));
+  ASSERT_EQ(data.substr(0, 4), "MSEQ");
+  ASSERT_EQ(data[4], '\x02');  // varint version
+  data[4] = '\x01';
+  ASSERT_OK(WriteStringToFile(path, data));
+  auto reader = SeqFileReader::Open(path);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(reader.status().message().find("bad seqfile version"),
+            std::string::npos)
+      << reader.status().ToString();
 }
 
 TEST(SeqFileV2Test, EmptyFileAndSingleRecordRoundTrip) {
@@ -369,8 +376,7 @@ TEST(SeqFileV2Test, EmptyFileAndSingleRecordRoundTrip) {
     const std::string path =
         dir.file("t" + std::to_string(rows) + ".msq");
     SeqFileWriter::Options options;
-    options.codec_chain = "rle+mlz";
-    options.skip_frames = true;
+    options.mlz = true;
     WriteNumFile(path, rows, options);
     ASSERT_OK_AND_ASSIGN(auto reader, SeqFileReader::Open(path));
     EXPECT_EQ(reader->num_records(), static_cast<uint64_t>(rows));
@@ -387,72 +393,22 @@ TEST(SeqFileV2Test, EmptyFileAndSingleRecordRoundTrip) {
   }
 }
 
-// ---------------- selector ----------------
-
-TEST(CodecSelectorTest, NearConstantColumnPicksRlePrefix) {
-  SeqFileMeta meta = PlainMeta(NumSchema());
-  CodecPolicy policy;
-  policy.mode = CodecMode::kAuto;
-  CodecSelector selector(policy, meta);
-  for (int i = 0; i < 500; ++i) {
-    selector.Observe(Row("r", 7, i));  // column "a" is constant
-  }
-  CodecSelection sel = selector.Choose();
-  EXPECT_EQ(sel.chain, "rle+mlz");
-  EXPECT_TRUE(sel.skip_frames);
-  EXPECT_NE(sel.reason.find("near-constant"), std::string::npos);
-}
-
-TEST(CodecSelectorTest, HighCardinalityPicksPlainLz) {
-  SeqFileMeta meta = PlainMeta(NumSchema());
-  CodecPolicy policy;
-  policy.mode = CodecMode::kAuto;
-  CodecSelector selector(policy, meta);
-  for (int i = 0; i < 500; ++i) {
-    selector.Observe(Row("r" + std::to_string(i), i, i * 31));
-  }
-  CodecSelection sel = selector.Choose();
-  EXPECT_EQ(sel.chain, "mlz");
-  EXPECT_TRUE(sel.skip_frames);
-}
-
-TEST(CodecSelectorTest, OffAndExplicitModes) {
-  SeqFileMeta meta = PlainMeta(NumSchema());
-  CodecPolicy off;
-  off.mode = CodecMode::kOff;
-  CodecSelection sel_off = CodecSelector(off, meta).Choose();
-  EXPECT_EQ(sel_off.chain, "");
-  EXPECT_FALSE(sel_off.skip_frames);
-
-  CodecPolicy forced;
-  forced.mode = CodecMode::kExplicit;
-  forced.explicit_chain = "rle";
-  CodecSelection sel_rle = CodecSelector(forced, meta).Choose();
-  EXPECT_EQ(sel_rle.chain, "rle");
-  EXPECT_TRUE(sel_rle.skip_frames);
-}
-
 // ---------------- direct evaluation end to end ----------------
 
-// A selective scan over a re-encoded artifact whose blocks partition
-// the predicate column must skip most blocks when direct evaluation
-// is on, produce identical output either way, and show the savings in
-// the engine counters (the EXPLAIN ANALYZE / bench surface).
-TEST(DirectEvalTest, SelectiveScanSkipsBlocksAndCutsBytesDecoded) {
-  TempDir dir("direct");
-  const std::string input = dir.file("in.msq");
-  {
-    ASSERT_OK_AND_ASSIGN(
-        auto writer, SeqFileWriter::Create(input, PlainMeta(NumSchema())));
-    for (int i = 0; i < 8000; ++i) {
-      // "a" ascending: artifact blocks partition its range, so frames
-      // refute every block past the predicate's upper bound.
-      ASSERT_OK(writer->Append(Row("row" + std::to_string(i % 7), i,
-                                   (i * 13) % 97)));
-    }
-    ASSERT_OK(writer->Finish().status());
+// 8000 rows with column "a" ascending: blocks partition its range, so
+// frames refute every block past a selective predicate's upper bound.
+void WriteAscendingInput(const std::string& path) {
+  ASSERT_OK_AND_ASSIGN(auto writer,
+                       SeqFileWriter::Create(path, PlainMeta(NumSchema())));
+  for (int i = 0; i < 8000; ++i) {
+    ASSERT_OK(writer->Append(Row("row" + std::to_string(i % 7), i,
+                                 (i * 13) % 97)));
   }
+  ASSERT_OK(writer->Finish().status());
+}
 
+// map: emit (a, b) for rows with a < 100 — 100 of the 8000.
+mril::Program SelectiveProgram() {
   mril::ProgramBuilder b("selective-direct");
   b.SetKeyType(FieldType::kI64);
   b.SetValueSchema(NumSchema());
@@ -463,30 +419,57 @@ TEST(DirectEvalTest, SelectiveScanSkipsBlocksAndCutsBytesDecoded) {
   m.LoadParam(1).GetField("b");
   m.Emit();
   m.Label("end").Ret();
-  const mril::Program program = b.Build();
+  return b.Build();
+}
 
-  // A non-B+Tree re-encoded artifact, so the chosen plan is a seqscan
-  // over v2 blocks with the selection still in the map.
-  ASSERT_OK_AND_ASSIGN(auto report, analyzer::Analyze(program));
-  auto specs = analyzer::SynthesizeIndexPrograms(program, report);
-  const analyzer::IndexGenProgram* reencoded = nullptr;
-  for (const auto& s : specs) {
-    if (!s.btree && !s.column_groups) reencoded = &s;
+// The program's non-B+Tree re-encoded artifact spec, so the chosen
+// plan is a seqscan over its blocks with the selection still in the
+// map.
+analyzer::IndexGenProgram ReencodedSpec(const mril::Program& program) {
+  auto report = analyzer::Analyze(program);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  analyzer::IndexGenProgram reencoded;
+  bool found = false;
+  for (const auto& s : analyzer::SynthesizeIndexPrograms(program, *report)) {
+    if (!s.btree && !s.column_groups) {
+      reencoded = s;
+      found = true;
+    }
   }
-  ASSERT_NE(reencoded, nullptr);
+  EXPECT_TRUE(found);
+  return reencoded;
+}
+
+std::unique_ptr<core::ManimalSystem> OpenSystem(const std::string& ws) {
+  core::ManimalSystem::Options options;
+  options.workspace_dir = ws;
+  options.simulated_startup_seconds = 0;
+  options.map_parallelism = 1;
+  options.num_partitions = 1;
+  auto system = core::ManimalSystem::Open(options);
+  EXPECT_TRUE(system.ok()) << system.status().ToString();
+  return system.ok() ? std::move(*system) : nullptr;
+}
+
+// A selective scan over a re-encoded artifact whose blocks partition
+// the predicate column must skip most blocks when direct evaluation
+// is on, produce identical output either way, and show the savings in
+// the engine counters (the EXPLAIN ANALYZE / bench surface).
+TEST(DirectEvalTest, SelectiveScanSkipsBlocksAndCutsBytesDecoded) {
+  TempDir dir("direct");
+  const std::string input = dir.file("in.msq");
+  WriteAscendingInput(input);
+  const mril::Program program = SelectiveProgram();
+  const analyzer::IndexGenProgram reencoded = ReencodedSpec(program);
 
   setenv("MANIMAL_CODECS", "mlz", 1);
   uint64_t decoded[2] = {0, 0};
   std::vector<std::string> outputs[2];
   for (int direct = 0; direct <= 1; ++direct) {
     setenv("MANIMAL_DIRECT_EVAL", direct ? "1" : "0", 1);
-    core::ManimalSystem::Options options;
-    options.workspace_dir = dir.file("ws" + std::to_string(direct));
-    options.simulated_startup_seconds = 0;
-    options.map_parallelism = 1;
-    options.num_partitions = 1;
-    ASSERT_OK_AND_ASSIGN(auto system, core::ManimalSystem::Open(options));
-    ASSERT_OK(system->BuildIndex(*reencoded, input).status());
+    auto system = OpenSystem(dir.file("ws" + std::to_string(direct)));
+    ASSERT_NE(system, nullptr);
+    ASSERT_OK(system->BuildIndex(reencoded, input).status());
     core::ManimalSystem::Submission job;
     job.program = program;
     job.input_path = input;
@@ -513,6 +496,82 @@ TEST(DirectEvalTest, SelectiveScanSkipsBlocksAndCutsBytesDecoded) {
       << "decoded " << decoded[1] << " with skipping vs " << decoded[0];
 }
 
+// Block skipping does not depend on the codec: with the codec off, the
+// raw input and the raw re-encoded artifact both carry skip frames, so
+// a selective job skips blocks over either — and still writes exactly
+// the bytes of the conventional full-scan run.
+TEST(DirectEvalTest, UncompressedFilesSkipBlocksAndMatchBaseline) {
+  TempDir dir("direct-raw");
+  const std::string input = dir.file("in.msq");
+  WriteAscendingInput(input);
+  const mril::Program program = SelectiveProgram();
+  const analyzer::IndexGenProgram reencoded = ReencodedSpec(program);
+
+  setenv("MANIMAL_CODECS", "off", 1);
+  for (bool with_artifact : {false, true}) {
+    SCOPED_TRACE(with_artifact ? "raw re-encoded artifact" : "raw input");
+    const std::string tag = with_artifact ? "artifact" : "input";
+    auto system = OpenSystem(dir.file("ws-" + tag));
+    ASSERT_NE(system, nullptr);
+    if (with_artifact) {
+      ASSERT_OK_AND_ASSIGN(auto built, system->BuildIndex(reencoded, input));
+      EXPECT_EQ(built.entry.codec_chain, "");
+      ASSERT_OK_AND_ASSIGN(auto artifact,
+                           SeqFileReader::Open(built.entry.artifact_path));
+      EXPECT_EQ(artifact->meta().codec_chain, "");
+      EXPECT_TRUE(artifact->has_skip_frames());
+    }
+    core::ManimalSystem::Submission job;
+    job.program = program;
+    job.input_path = input;
+    job.output_path = dir.file("out-" + tag + ".prs");
+    ASSERT_OK_AND_ASSIGN(auto outcome, system->Submit(job));
+    EXPECT_GT(outcome.job.counters.blocks_skipped, 0u);
+
+    core::ManimalSystem::Submission baseline_job = job;
+    baseline_job.output_path = dir.file("baseline-" + tag + ".prs");
+    ASSERT_OK_AND_ASSIGN(auto baseline, system->RunBaseline(baseline_job));
+    EXPECT_EQ(baseline.counters.blocks_skipped, 0u);
+
+    ASSERT_OK_AND_ASSIGN(std::string got, ReadFileToString(job.output_path));
+    ASSERT_OK_AND_ASSIGN(std::string want,
+                         ReadFileToString(baseline_job.output_path));
+    EXPECT_EQ(got, want);
+    ASSERT_OK_AND_ASSIGN(auto pairs,
+                         exec::ReadCanonicalPairs(job.output_path));
+    EXPECT_EQ(pairs.size(), 100u);
+  }
+  unsetenv("MANIMAL_CODECS");
+}
+
+// MANIMAL_CODECS accepts its default (unset/auto/mlz) and off; a
+// retired chain spec fails the artifact build like any typo.
+TEST(ArtifactCodecTest, OnlyMlzOrOffBuild) {
+  TempDir dir("codec-env");
+  const std::string input = dir.file("in.msq");
+  WriteAscendingInput(input);
+  const analyzer::IndexGenProgram reencoded =
+      ReencodedSpec(SelectiveProgram());
+  const std::pair<const char*, const char*> accepted[] = {
+      {"auto", "mlz"}, {"mlz", "mlz"}, {"off", ""}, {"0", ""}};
+  for (const auto& [value, codec] : accepted) {
+    setenv("MANIMAL_CODECS", value, 1);
+    auto system = OpenSystem(dir.file(std::string("ws-") + value));
+    ASSERT_NE(system, nullptr);
+    ASSERT_OK_AND_ASSIGN(auto built, system->BuildIndex(reencoded, input));
+    EXPECT_EQ(built.entry.codec_chain, codec) << value;
+  }
+  for (const char* value : {"rle+mlz", "rle", "none", "zstd"}) {
+    setenv("MANIMAL_CODECS", value, 1);
+    auto system = OpenSystem(dir.file(std::string("ws-bad-") + value));
+    ASSERT_NE(system, nullptr);
+    auto built = system->BuildIndex(reencoded, input);
+    ASSERT_FALSE(built.ok()) << value;
+    EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument) << value;
+  }
+  unsetenv("MANIMAL_CODECS");
+}
+
 // ---------------- catalog codec columns ----------------
 
 TEST(CatalogCodecTest, TenColumnRoundTripAndOldManifestsStillLoad) {
@@ -527,13 +586,13 @@ TEST(CatalogCodecTest, TenColumnRoundTripAndOldManifestsStillLoad) {
     e.artifact_bytes = 100;
     e.input_bytes = 400;
     e.stats_path = "s.stats";
-    e.codec_chain = "rle+mlz";
+    e.codec_chain = "mlz";
     e.raw_bytes = 350;
     ASSERT_OK(catalog.Register(e));
   }
   ASSERT_OK_AND_ASSIGN(auto reloaded, index::Catalog::Open(path));
   ASSERT_EQ(reloaded.entries().size(), 1u);
-  EXPECT_EQ(reloaded.entries()[0].codec_chain, "rle+mlz");
+  EXPECT_EQ(reloaded.entries()[0].codec_chain, "mlz");
   EXPECT_EQ(reloaded.entries()[0].raw_bytes, 350u);
 
   // A pre-codec 8-column manifest loads with empty codec fields.

@@ -584,28 +584,28 @@ TEST_F(DifferentialHarness, ReduceFoldBackendIsVisible) {
 }
 
 // ---------------------------------------------------------------
-// Codec legs: the every-plan sweep repeated under each block codec
-// chain, once with direct predicate evaluation on compressed blocks
-// enabled and once forced to decode-then-evaluate. Every
-// (plan x chain x direct on/off) combination must reproduce the
+// Codec legs: the every-plan sweep repeated with the block codec off
+// and on (mlz), once with direct predicate evaluation on the framed
+// blocks enabled and once forced to decode-then-evaluate. Every
+// (plan x codec x direct on/off) combination must reproduce the
 // baseline byte-for-byte — the exactness contract of the skip path.
 
 #ifndef MANIMAL_TEST_CORPUS_DIR
 #define MANIMAL_TEST_CORPUS_DIR "tests/corpus"
 #endif
 
-constexpr const char* kCodecChains[] = {"off", "rle", "mlz", "rle+mlz"};
+constexpr const char* kCodecs[] = {"off", "mlz"};
 
 TEST_F(DifferentialHarness, CodecChainsMatchBaselineDirectEvalOnAndOff) {
-  for (const char* chain : kCodecChains) {
+  for (const char* codec : kCodecs) {
     for (int direct = 0; direct <= 1; ++direct) {
-      SCOPED_TRACE(std::string("chain ") + chain + " direct " +
+      SCOPED_TRACE(std::string("codec ") + codec + " direct " +
                    std::to_string(direct));
-      ScopedEnvVar codecs("MANIMAL_CODECS", chain);
+      ScopedEnvVar codecs("MANIMAL_CODECS", codec);
       ScopedEnvVar direct_eval("MANIMAL_DIRECT_EVAL",
                                direct ? "1" : "0");
       TempDir scratch(std::string("diff-codec-") +
-                      (direct ? "on-" : "off-") + chain);
+                      (direct ? "on-" : "off-") + codec);
       for (uint64_t seed = 1; seed <= 4; ++seed) {
         RunSeed(seed, scratch);
         if (::testing::Test::HasFatalFailure()) return;
@@ -622,7 +622,7 @@ TEST_F(DifferentialHarness,
   const FaultyEnv::Config config = FaultyEnv::ConfigFromEnv(defaults);
   ASSERT_GT(config.rate, 0.0);
 
-  ScopedEnvVar codecs("MANIMAL_CODECS", "rle+mlz");
+  ScopedEnvVar codecs("MANIMAL_CODECS", "mlz");
   for (int direct = 0; direct <= 1; ++direct) {
     SCOPED_TRACE("direct " + std::to_string(direct));
     ScopedEnvVar direct_eval("MANIMAL_DIRECT_EVAL", direct ? "1" : "0");
@@ -655,7 +655,7 @@ TEST_F(DifferentialHarness, CorpusProgramsMatchBaselineUnderCodecs) {
   ASSERT_GE(files.size(), 4u)
       << "corpus missing at " << MANIMAL_TEST_CORPUS_DIR;
 
-  ScopedEnvVar codecs("MANIMAL_CODECS", "rle+mlz");
+  ScopedEnvVar codecs("MANIMAL_CODECS", "mlz");
   for (int direct = 0; direct <= 1; ++direct) {
     SCOPED_TRACE("direct " + std::to_string(direct));
     ScopedEnvVar direct_eval("MANIMAL_DIRECT_EVAL", direct ? "1" : "0");

@@ -4,7 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <filesystem>
 #include <set>
+#include <sstream>
+#include <utility>
+#include <vector>
 
 #include "analyzer/analyzer.h"
 #include "common/faulty_env.h"
@@ -12,6 +17,8 @@
 #include "exec/index_build.h"
 #include "exec/pairfile.h"
 #include "mril/builder.h"
+#include "obs/journal.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "optimizer/optimizer.h"
 #include "tests/test_util.h"
@@ -609,6 +616,76 @@ class EngineFaultTest : public ::testing::Test {
   TempDir dir_;
 };
 
+// The journal a fault test reads back. When MANIMAL_JOURNAL is set the
+// events stay in that journal, so its seq numbers keep increasing and
+// it keeps every fault_injected line; only the bytes written while the
+// scope is open are read back. Otherwise the journal records into
+// `fallback` for the scope's lifetime.
+class ScopedJournal {
+ public:
+  explicit ScopedJournal(std::string fallback) {
+    const char* env = std::getenv("MANIMAL_JOURNAL");
+    if (env != nullptr && env[0] != '\0') {
+      path_ = env;
+      std::error_code ec;
+      const uintmax_t size = std::filesystem::file_size(path_, ec);
+      start_ = ec ? 0 : static_cast<size_t>(size);
+    } else {
+      path_ = std::move(fallback);
+      owned_ = true;
+      obs::Journal::Get().SetOutputPathForTest(path_);
+    }
+  }
+  ~ScopedJournal() {
+    if (owned_) obs::Journal::Get().ResetForTest();
+  }
+
+  // The journal lines written since the scope opened.
+  std::string Written() const {
+    auto text = ReadFileToString(path_);
+    EXPECT_TRUE(text.ok()) << text.status().ToString();
+    if (!text.ok()) return "";
+    return text->substr(std::min(start_, text->size()));
+  }
+
+ private:
+  std::string path_;
+  size_t start_ = 0;
+  bool owned_ = false;
+};
+
+// Checks journal lines' fault_injected events against their task
+// events: each names one of `job_ids` and a task that the same job's
+// task_retry or task_failed lines also name — the retry (or failure)
+// the fault caused. Returns the number of fault_injected lines.
+size_t ExpectFaultsNameRetriedTasks(const std::string& journal_lines,
+                                    const std::set<std::string>& job_ids) {
+  std::set<std::pair<std::string, std::string>> retried;
+  std::vector<std::pair<std::string, std::string>> faults;
+  std::istringstream lines(journal_lines);
+  std::string line;
+  while (std::getline(lines, line)) {
+    obs::JsonValue value;
+    std::string error;
+    EXPECT_TRUE(obs::JsonParse(line, &value, &error)) << error;
+    const std::string event = value.StringOr("event", "");
+    std::pair<std::string, std::string> job_task(value.StringOr("job", ""),
+                                                 value.StringOr("task", ""));
+    if (event == "task_retry" || event == "task_failed") {
+      retried.insert(job_task);
+    } else if (event == "fault_injected") {
+      faults.push_back(job_task);
+    }
+  }
+  for (const auto& [job, task] : faults) {
+    EXPECT_EQ(job_ids.count(job), 1u) << "fault names job '" << job << "'";
+    EXPECT_EQ(retried.count({job, task}), 1u)
+        << "fault in " << job << "/" << task
+        << " has no task_retry or task_failed line";
+  }
+  return faults.size();
+}
+
 TEST_F(EngineFaultTest, EveryInjectionSiteIsSurvivable) {
   // Parameterized over the injection site: fail the Nth armed IO
   // operation — spill writes, part-file writes, renames, input block
@@ -633,22 +710,33 @@ TEST_F(EngineFaultTest, EveryInjectionSiteIsSurvivable) {
 
   // Sweep up to 40 sites spread across the whole job (every site when
   // there are fewer).
-  const uint64_t step = std::max<uint64_t>(1, num_sites / 40);
-  for (uint64_t nth = 1; nth <= num_sites; nth += step) {
-    SCOPED_TRACE("injection site " + std::to_string(nth) + " of " +
-                 std::to_string(num_sites));
-    FaultyEnv::Config config;
-    config.fail_nth = nth;
-    ScopedFaultInjection inject(config);
-    const std::string out = "site-" + std::to_string(nth) + ".prs";
-    ASSERT_OK_AND_ASSIGN(JobResult result,
-                         RunJob(Baseline(program), Config(out)));
-    EXPECT_EQ(FaultyEnv::Get().stats().injected, 1u);
-    EXPECT_GE(result.counters.task_retries, 1u);
-    ASSERT_OK_AND_ASSIGN(auto pairs,
-                         ReadCanonicalPairs(result.output_path));
-    EXPECT_EQ(pairs, canonical);
+  std::set<std::string> job_ids;
+  std::string journal_lines;
+  {
+    ScopedJournal record(dir_.file("sweep-journal.jsonl"));
+    const uint64_t step = std::max<uint64_t>(1, num_sites / 40);
+    for (uint64_t nth = 1; nth <= num_sites; nth += step) {
+      SCOPED_TRACE("injection site " + std::to_string(nth) + " of " +
+                   std::to_string(num_sites));
+      FaultyEnv::Config config;
+      config.fail_nth = nth;
+      ScopedFaultInjection inject(config);
+      const std::string out = "site-" + std::to_string(nth) + ".prs";
+      JobConfig job_config = Config(out);
+      job_config.job_id = "fault-site-" + std::to_string(nth);
+      job_ids.insert(job_config.job_id);
+      ASSERT_OK_AND_ASSIGN(JobResult result,
+                           RunJob(Baseline(program), job_config));
+      EXPECT_EQ(FaultyEnv::Get().stats().injected, 1u);
+      EXPECT_GE(result.counters.task_retries, 1u);
+      ASSERT_OK_AND_ASSIGN(auto pairs,
+                           ReadCanonicalPairs(result.output_path));
+      EXPECT_EQ(pairs, canonical);
+    }
+    journal_lines = record.Written();
   }
+  EXPECT_EQ(ExpectFaultsNameRetriedTasks(journal_lines, job_ids),
+            job_ids.size());
 }
 
 TEST_F(EngineFaultTest, RateInjectionIsMaskedAndCounted) {
@@ -666,28 +754,37 @@ TEST_F(EngineFaultTest, RateInjectionIsMaskedAndCounted) {
   // per-run temp directory, so whether a given seed fires varies per
   // process. Sweep seeds until at least one fault lands; every faulted
   // run must still produce canonical output.
-  bool fired = false;
-  for (uint64_t seed = 1; seed <= 12 && !fired; ++seed) {
-    FaultyEnv::Config fault;
-    fault.seed = seed;
-    fault.rate = 0.05;
-    ScopedFaultInjection inject(fault);
-    JobConfig config =
-        Config("faulted-" + std::to_string(seed) + ".prs");
-    config.max_task_attempts = 16;
-    ASSERT_OK_AND_ASSIGN(JobResult result,
-                         RunJob(Baseline(program), config));
-    if (FaultyEnv::Get().stats().injected > 0) {
-      fired = true;
-      EXPECT_GE(result.counters.task_retries, 1u);
-      EXPECT_EQ(result.counters.tasks_failed, 0u);
-      EXPECT_GT(retries_metric->Value(), retries_before);
+  std::set<std::string> job_ids;
+  std::string journal_lines;
+  uint64_t injected = 0;
+  {
+    ScopedJournal record(dir_.file("rate-journal.jsonl"));
+    for (uint64_t seed = 1; seed <= 12 && injected == 0; ++seed) {
+      FaultyEnv::Config fault;
+      fault.seed = seed;
+      fault.rate = 0.05;
+      ScopedFaultInjection inject(fault);
+      JobConfig config =
+          Config("faulted-" + std::to_string(seed) + ".prs");
+      config.max_task_attempts = 16;
+      config.job_id = "fault-rate-seed-" + std::to_string(seed);
+      job_ids.insert(config.job_id);
+      ASSERT_OK_AND_ASSIGN(JobResult result,
+                           RunJob(Baseline(program), config));
+      injected = FaultyEnv::Get().stats().injected;
+      if (injected > 0) {
+        EXPECT_GE(result.counters.task_retries, 1u);
+        EXPECT_EQ(result.counters.tasks_failed, 0u);
+        EXPECT_GT(retries_metric->Value(), retries_before);
+      }
+      ASSERT_OK_AND_ASSIGN(auto pairs,
+                           ReadCanonicalPairs(result.output_path));
+      EXPECT_EQ(pairs, canonical);
     }
-    ASSERT_OK_AND_ASSIGN(auto pairs,
-                         ReadCanonicalPairs(result.output_path));
-    EXPECT_EQ(pairs, canonical);
+    journal_lines = record.Written();
   }
-  EXPECT_TRUE(fired) << "no seed in 1..12 injected a fault";
+  EXPECT_GT(injected, 0u) << "no seed in 1..12 injected a fault";
+  EXPECT_EQ(ExpectFaultsNameRetriedTasks(journal_lines, job_ids), injected);
 }
 
 TEST_F(EngineFaultTest, ExhaustedRetryBudgetFailsTheJobCleanly) {

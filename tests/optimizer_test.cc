@@ -91,8 +91,8 @@ TEST_F(OptimizerTest, FallsBackToLesserArtifact) {
   ASSERT_OK_AND_ASSIGN(
       Plan plan, BuildPlan(program, input(), report, system_->catalog()));
   EXPECT_TRUE(plan.optimized);
-  // delta-compression, plus codec(<chain>) when MANIMAL_CODECS picked
-  // a block codec for the re-encoded artifact (the default).
+  // delta-compression, plus codec(mlz) unless MANIMAL_CODECS turned
+  // the re-encoded artifact's block codec off.
   ASSERT_GE(plan.descriptor.applied.size(), 1u);
   ASSERT_LE(plan.descriptor.applied.size(), 2u);
   EXPECT_NE(plan.descriptor.applied[0].find("delta"), std::string::npos);
