@@ -212,11 +212,11 @@ std::shared_ptr<const std::vector<bool>> BuildBlockSkipFilter(
     }
   }
   rep.blocks_skipped = skipped;
+  rep.admitted = true;
   if (skipped == 0) {
     rep.detail = "admitted; no block refutable";
     return nullptr;
   }
-  rep.admitted = true;
   rep.detail = StrPrintf("admitted; %llu/%llu blocks refuted",
                          static_cast<unsigned long long>(skipped),
                          static_cast<unsigned long long>(rep.blocks_total));

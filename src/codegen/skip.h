@@ -41,6 +41,8 @@ namespace manimal::codegen {
 // Why a program/file pair was (or wasn't) admitted, for EXPLAIN and
 // the journal.
 struct BlockSkipReport {
+  // True once the predicate passed admission, even if no block turned
+  // out refutable (blocks_skipped == 0).
   bool admitted = false;
   std::string detail;          // reason when !admitted; summary when admitted
   uint64_t blocks_total = 0;

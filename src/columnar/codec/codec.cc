@@ -30,6 +30,7 @@ constexpr size_t kMaxDecodedBlockBytes = 1u << 30;
 
 constexpr int kMlzHashBits = 13;
 constexpr size_t kMlzWindow = 0xFFFF;
+constexpr size_t kMlzMaxExpansion = 255;
 
 inline uint32_t MlzLoad32(const char* p) {
   uint32_t v;
@@ -110,9 +111,13 @@ void MlzCompress(std::string_view in, std::string* out) {
   }
 }
 
-// Appends the decompression of `in` to *out, which must start empty
-// (match offsets address the decoded block from its first byte).
-Status MlzDecompress(std::string_view in, std::string* out) {
+// Decompresses `in` into out[0, cap), which the caller sized to the
+// frame's raw size, and sets *produced to the bytes written. Every
+// write is checked against `cap` before it is made, so a corrupt
+// stream can neither overrun the block nor grow it.
+Status MlzDecompress(std::string_view in, char* out, size_t cap,
+                     size_t* produced) {
+  size_t pos = 0;
   while (!in.empty()) {
     const uint8_t token = static_cast<uint8_t>(in[0]);
     in.remove_prefix(1);
@@ -123,7 +128,11 @@ Status MlzDecompress(std::string_view in, std::string* out) {
     if (in.size() < lit_len) {
       return Status::Corruption("mlz: truncated literals");
     }
-    out->append(in.data(), lit_len);
+    if (lit_len > cap - pos) {
+      return Status::Corruption("mlz: output exceeds raw size");
+    }
+    std::memcpy(out + pos, in.data(), lit_len);
+    pos += lit_len;
     in.remove_prefix(lit_len);
     if (in.empty()) break;  // final sequence ends in literals
     if (in.size() < 2) return Status::Corruption("mlz: truncated offset");
@@ -131,7 +140,7 @@ Status MlzDecompress(std::string_view in, std::string* out) {
         static_cast<uint8_t>(in[0]) |
         (static_cast<size_t>(static_cast<uint8_t>(in[1])) << 8);
     in.remove_prefix(2);
-    if (offset == 0 || offset > out->size()) {
+    if (offset == 0 || offset > pos) {
       return Status::Corruption("mlz: bad match offset");
     }
     size_t match_len = token & 0x0F;
@@ -139,15 +148,20 @@ Status MlzDecompress(std::string_view in, std::string* out) {
       MANIMAL_RETURN_IF_ERROR(MlzGetLen(&in, &match_len));
     }
     match_len += 4;
-    if (out->size() + match_len > kMaxDecodedBlockBytes) {
-      return Status::Corruption("mlz: output too large");
+    if (match_len > cap - pos) {
+      return Status::Corruption("mlz: output exceeds raw size");
     }
-    // Byte-by-byte: matches may overlap their own output.
-    size_t src = out->size() - offset;
-    for (size_t i = 0; i < match_len; ++i) {
-      out->push_back((*out)[src + i]);
+    const char* src = out + pos - offset;
+    if (offset >= match_len) {
+      std::memcpy(out + pos, src, match_len);
+    } else {
+      // The match overlaps its own output (a run): each byte may read
+      // one this loop just wrote.
+      for (size_t i = 0; i < match_len; ++i) out[pos + i] = src[i];
     }
+    pos += match_len;
   }
+  *produced = pos;
   return Status::OK();
 }
 
@@ -193,17 +207,27 @@ Status DecodeBlockFrame(std::string_view framed, std::string* raw) {
   if (raw_size > kMaxDecodedBlockBytes) {
     return Status::Corruption("block raw size too large");
   }
-  raw->clear();
+  size_t decoded = 0;
   if (n == 1) {
-    MANIMAL_RETURN_IF_ERROR(MlzDecompress(framed, raw));
+    // No mlz byte decodes to more than 255 bytes (a 0xFF length
+    // extension), so a larger claim is corrupt; rejecting it up front
+    // keeps a bad size field from sizing the output buffer.
+    if (raw_size > framed.size() * kMlzMaxExpansion) {
+      return Status::Corruption("mlz: raw size exceeds what the payload "
+                                "can encode");
+    }
+    raw->resize(raw_size);
+    MANIMAL_RETURN_IF_ERROR(
+        MlzDecompress(framed, raw->data(), raw_size, &decoded));
   } else {
     raw->assign(framed.data(), framed.size());
+    decoded = raw->size();
   }
-  if (raw->size() != raw_size) {
+  if (decoded != raw_size) {
     return Status::Corruption(
         StrPrintf("block raw size mismatch: frame says %llu, decoded %llu",
                   static_cast<unsigned long long>(raw_size),
-                  static_cast<unsigned long long>(raw->size())));
+                  static_cast<unsigned long long>(decoded)));
   }
   return Status::OK();
 }

@@ -61,16 +61,20 @@ std::string TaskId(char kind, int index) {
 }
 
 // Shared error latch: first error wins; all tasks then bail early.
+// Failed() is polled once per map record and once per reduce group, so
+// it reads an atomic flag instead of taking the mutex; the release
+// store in Set() happens after first_ is written, so a task that sees
+// the flag also sees the status through First().
 class ErrorLatch {
  public:
   void Set(const Status& status) {
+    if (status.ok()) return;
     std::lock_guard<std::mutex> lock(mu_);
-    if (first_.ok() && !status.ok()) first_ = status;
+    if (!first_.ok()) return;
+    first_ = status;
+    failed_.store(true, std::memory_order_release);
   }
-  bool Failed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return !first_.ok();
-  }
+  bool Failed() const { return failed_.load(std::memory_order_acquire); }
   Status First() const {
     std::lock_guard<std::mutex> lock(mu_);
     return first_;
@@ -79,6 +83,7 @@ class ErrorLatch {
  private:
   mutable std::mutex mu_;
   Status first_;
+  std::atomic<bool> failed_{false};
 };
 
 // Job output sink: a PairFile, or (pipeline mode) a typed SeqFile the

@@ -1,6 +1,7 @@
 #include "index/external_sorter.h"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "common/check.h"
@@ -267,13 +268,74 @@ void SpillBuffer::Add(std::string_view key, std::string_view payload) {
   entries_.push_back(e);
 }
 
+namespace {
+
+// The 8 key bytes at `pos`, big-endian and zero-padded, so integer
+// order on the result is byte order on that window of the key.
+uint64_t KeyWindow(std::string_view key, size_t pos) {
+  unsigned char bytes[8] = {};
+  if (pos < key.size()) {
+    std::memcpy(bytes, key.data() + pos,
+                std::min<size_t>(8, key.size() - pos));
+  }
+  uint64_t v = 0;
+  for (unsigned char b : bytes) v = (v << 8) | b;
+  return v;
+}
+
+}  // namespace
+
+// Sorts a side array of (8-byte key window, entry index) pairs rather
+// than the entries themselves: the window starts after the prefix all
+// keys share (so it holds bytes that actually differ), and most
+// comparisons end on that one integer without touching the arena. Ties
+// fall back to the rest of the key, then to insertion order, so equal
+// keys keep their input order. The entries are then gathered in sorted
+// order into an exactly sized vector: entries_ grew by doubling, and an
+// in-memory run keeps its entries until the reduce side merges it.
 void SpillBuffer::SortEntries() {
-  std::sort(entries_.begin(), entries_.end(),
-            [this](const MemoryRun::Entry& a, const MemoryRun::Entry& b) {
-              std::string_view ka(arena_.data() + a.key_offset, a.key_len);
-              std::string_view kb(arena_.data() + b.key_offset, b.key_len);
-              return ka < kb;
-            });
+  const size_t n = entries_.size();
+  if (n < 2) return;
+  const char* base = arena_.data();
+  auto key_of = [base](const MemoryRun::Entry& e) {
+    return std::string_view(base + e.key_offset, e.key_len);
+  };
+  const std::string_view first = key_of(entries_[0]);
+  size_t common = first.size();
+  for (size_t i = 1; i < n && common > 0; ++i) {
+    const std::string_view key = key_of(entries_[i]);
+    const size_t limit = std::min(common, key.size());
+    if (std::memcmp(key.data(), first.data(), limit) == 0) {
+      common = limit;
+      continue;
+    }
+    size_t j = 0;
+    while (key[j] == first[j]) ++j;
+    common = j;
+  }
+
+  struct Slot {
+    uint64_t window;
+    uint32_t index;
+  };
+  std::vector<Slot> slots(n);
+  for (size_t i = 0; i < n; ++i) {
+    slots[i] = {KeyWindow(key_of(entries_[i]), common),
+                static_cast<uint32_t>(i)};
+  }
+  std::sort(slots.begin(), slots.end(), [&](const Slot& a, const Slot& b) {
+    if (a.window != b.window) return a.window < b.window;
+    const int c = key_of(entries_[a.index])
+                      .substr(common)
+                      .compare(key_of(entries_[b.index]).substr(common));
+    if (c != 0) return c < 0;
+    return a.index < b.index;
+  });
+
+  std::vector<MemoryRun::Entry> sorted;
+  sorted.reserve(n);
+  for (const Slot& slot : slots) sorted.push_back(entries_[slot.index]);
+  entries_ = std::move(sorted);
 }
 
 Result<uint64_t> SpillBuffer::SpillToFile(const std::string& path) {

@@ -55,7 +55,9 @@ struct MemoryRun {
 // Accumulates (key, payload) entries in a contiguous arena and turns
 // them into sorted runs — on disk (SpillToFile) or in memory
 // (TakeSortedRun). The in-memory stage of both the external sorter
-// and the shuffle's per-mapper partition buffers. Not thread-safe.
+// and the shuffle's per-mapper partition buffers. Sorting is stable:
+// entries with equal keys keep the order they were added in. Not
+// thread-safe.
 // Offsets are 32-bit: callers must spill before the arena reaches
 // 4 GiB (the sorter and shuffle spill far earlier).
 class SpillBuffer {

@@ -407,13 +407,14 @@ BuiltinRegistry::BuiltinRegistry() {
   add("opaque.get_str", 2, true, [](const Value* a, Value* r) {
     MANIMAL_RETURN_IF_ERROR(WantStr(a[0], "opaque.get_str"));
     MANIMAL_RETURN_IF_ERROR(WantI64(a[1], "opaque.get_str"));
+    const std::string_view blob = a[0].str();
     MANIMAL_ASSIGN_OR_RETURN(
-        Value v, OpaqueTupleCodec::GetField(a[0].str(),
-                                            static_cast<int>(a[1].i64())));
-    if (!v.is_str()) {
-      return Status::InvalidArgument("opaque.get_str: field not str");
-    }
-    *r = v;
+        std::string_view field,
+        OpaqueTupleCodec::GetStrField(blob, static_cast<int>(a[1].i64())));
+    // A slice of the blob: borrowed when the blob is (the VM promotes
+    // whatever escapes the record), one copy otherwise.
+    *r = SubstrValue(a[0], static_cast<size_t>(field.data() - blob.data()),
+                     field.size());
     return Status::OK();
   });
 

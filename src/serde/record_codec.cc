@@ -134,7 +134,7 @@ Status DecodeValue(std::string_view* input, Value* value) {
     case ValueKind::kStr: {
       std::string_view s;
       MANIMAL_RETURN_IF_ERROR(GetLengthPrefixed(input, &s));
-      *value = Value::Str(std::string(s));
+      *value = Value::Str(s);
       return Status::OK();
     }
     case ValueKind::kList: {
@@ -221,7 +221,7 @@ Status SkipOrReadOpaqueField(std::string_view* in, Value* out) {
     case 's': {
       std::string_view s;
       MANIMAL_RETURN_IF_ERROR(GetLengthPrefixed(in, &s));
-      if (out) *out = Value::Str(std::string(s));
+      if (out) *out = Value::Str(s);
       return Status::OK();
     }
     case 'b': {
@@ -258,20 +258,45 @@ Result<Record> OpaqueTupleCodec::Unpack(std::string_view blob) {
   return out;
 }
 
-Result<Value> OpaqueTupleCodec::GetField(std::string_view blob, int index) {
+namespace {
+
+// Positions *blob at the tag byte of field `index`.
+Status SeekOpaqueField(std::string_view* blob, int index) {
   uint64_t count = 0;
-  MANIMAL_RETURN_IF_ERROR(CheckOpaqueHeader(&blob, &count));
+  MANIMAL_RETURN_IF_ERROR(CheckOpaqueHeader(blob, &count));
   if (index < 0 || static_cast<uint64_t>(index) >= count) {
     return Status::OutOfRange(
         StrPrintf("opaque tuple index %d out of range (%llu fields)", index,
                   static_cast<unsigned long long>(count)));
   }
   for (int i = 0; i < index; ++i) {
-    MANIMAL_RETURN_IF_ERROR(SkipOrReadOpaqueField(&blob, nullptr));
+    MANIMAL_RETURN_IF_ERROR(SkipOrReadOpaqueField(blob, nullptr));
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<Value> OpaqueTupleCodec::GetField(std::string_view blob, int index) {
+  MANIMAL_RETURN_IF_ERROR(SeekOpaqueField(&blob, index));
   Value v;
   MANIMAL_RETURN_IF_ERROR(SkipOrReadOpaqueField(&blob, &v));
   return v;
+}
+
+Result<std::string_view> OpaqueTupleCodec::GetStrField(std::string_view blob,
+                                                       int index) {
+  MANIMAL_RETURN_IF_ERROR(SeekOpaqueField(&blob, index));
+  if (blob.empty() || blob[0] != 's') {
+    // A corrupt field stays a Corruption; a well-formed one of another
+    // type is the caller's mistake.
+    MANIMAL_RETURN_IF_ERROR(SkipOrReadOpaqueField(&blob, nullptr));
+    return Status::InvalidArgument("opaque.get_str: field not str");
+  }
+  blob.remove_prefix(1);
+  std::string_view s;
+  MANIMAL_RETURN_IF_ERROR(GetLengthPrefixed(&blob, &s));
+  return s;
 }
 
 Result<int> OpaqueTupleCodec::NumFields(std::string_view blob) {

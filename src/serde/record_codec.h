@@ -52,6 +52,9 @@ class OpaqueTupleCodec {
 
   // Random access used by the opaque.get_* builtins.
   static Result<Value> GetField(std::string_view blob, int index);
+  // The bytes of str field `index`, as a view into `blob` (no copy).
+  static Result<std::string_view> GetStrField(std::string_view blob,
+                                              int index);
   static Result<int> NumFields(std::string_view blob);
 };
 

@@ -177,6 +177,136 @@ TEST(CodecTest, DecompressRejectsCorruptFrames) {
   }
 }
 
+// A hand-built mlz frame: the frame header claiming `raw_size`, then
+// `payload` as the token stream.
+std::string MlzFrame(uint64_t raw_size, const std::string& payload) {
+  std::string framed;
+  framed.push_back('\x01');
+  framed.push_back(static_cast<char>(kCodecMethodMlz));
+  PutVarint64(&framed, raw_size);
+  framed += payload;
+  return framed;
+}
+
+// Decodes `framed`, expecting a Corruption whose message names `what`.
+void ExpectMlzCorruption(const std::string& framed, const std::string& what) {
+  std::string out;
+  Status st = DecodeBlockFrame(framed, &out);
+  ASSERT_FALSE(st.ok()) << what;
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_NE(st.message().find(what), std::string::npos) << st.ToString();
+}
+
+TEST(CodecTest, MlzDecodeRejectsBadMatchOffsets) {
+  // Token 0x40: four literals, then a 4-byte match.
+  ExpectMlzCorruption(MlzFrame(8, std::string("\x40" "abcd\x00\x00", 7)),
+                      "bad match offset");
+  // Offset 5 reaches one byte before the four produced so far.
+  ExpectMlzCorruption(MlzFrame(8, std::string("\x40" "abcd\x05\x00", 7)),
+                      "bad match offset");
+  // A match before any literal has nothing to copy from.
+  ExpectMlzCorruption(MlzFrame(4, std::string("\x00\x01\x00", 3)),
+                      "bad match offset");
+  // Offset 4 (exactly the bytes produced) is valid.
+  std::string out;
+  ASSERT_OK(DecodeBlockFrame(
+      MlzFrame(8, std::string("\x40" "abcd\x04\x00", 7)), &out));
+  EXPECT_EQ(out, "abcdabcd");
+}
+
+TEST(CodecTest, MlzDecodeRejectsTruncatedStreams) {
+  // Five literals claimed, three present.
+  ExpectMlzCorruption(MlzFrame(5, "\x50" "abc"), "truncated literals");
+  // One byte of the two-byte offset.
+  ExpectMlzCorruption(MlzFrame(8, "\x40" "abcd\x04"), "truncated offset");
+  // A literal length of 15 needs an extension byte.
+  ExpectMlzCorruption(MlzFrame(15, "\xf0"), "truncated length");
+  // An extension byte of 255 needs another one after it.
+  ExpectMlzCorruption(MlzFrame(300, "\xf0\xff"), "truncated length");
+  // A match length nibble of 15 needs an extension byte.
+  ExpectMlzCorruption(MlzFrame(23, std::string("\x4f" "abcd\x04\x00", 7)),
+                      "truncated length");
+}
+
+TEST(CodecTest, MlzDecodeRejectsOutputPastOrShortOfRawSize) {
+  // Literals alone overrun a 2-byte block.
+  ExpectMlzCorruption(MlzFrame(2, "\x40" "abcd"), "exceeds raw size");
+  // The match overruns: 4 literals + 4 match bytes into 6.
+  ExpectMlzCorruption(MlzFrame(6, std::string("\x40" "abcd\x04\x00", 7)),
+                      "exceeds raw size");
+  // An offset-1 run of 1000 bytes into a 100-byte block.
+  // Token 0x1f: one literal, then an offset-1 match whose length
+  // 4 + 15 + extensions makes 1000.
+  std::string run_payload("\x1f" "a\x01\x00", 4);
+  for (size_t left = 1000 - 4 - 15; ; left -= 255) {
+    if (left < 255) {
+      run_payload.push_back(static_cast<char>(left));
+      break;
+    }
+    run_payload.push_back('\xff');
+  }
+  std::string out;
+  ASSERT_OK(DecodeBlockFrame(MlzFrame(1001, run_payload), &out));
+  EXPECT_EQ(out, std::string(1001, 'a'));
+  ExpectMlzCorruption(MlzFrame(100, run_payload), "exceeds raw size");
+  // Output short of the recorded size.
+  ExpectMlzCorruption(MlzFrame(10, "\x40" "abcd"), "raw size mismatch");
+  ExpectMlzCorruption(MlzFrame(1002, run_payload), "raw size mismatch");
+  // A size no payload of this length can decode to is rejected before
+  // the output is sized.
+  ExpectMlzCorruption(MlzFrame(1u << 29, "\x40" "abcd"),
+                      "raw size exceeds");
+}
+
+TEST(CodecTest, MlzRoundTripsOverlappingMatches) {
+  // Offset-1 runs, and short periods whose matches overlap their own
+  // output, next to long non-overlapping matches.
+  std::vector<std::string> payloads = {std::string(5000, 'z'),
+                                       std::string(5, 'q')};
+  std::string periodic;
+  for (int i = 0; i < 3000; ++i) periodic.push_back("abc"[i % 3]);
+  payloads.push_back(periodic);
+  std::string mixed = "header";
+  for (int period = 1; period <= 9; ++period) {
+    for (int i = 0; i < 200; ++i) mixed.push_back('A' + i % period);
+    mixed += "|sep|";
+  }
+  payloads.push_back(mixed);
+  for (const std::string& payload : payloads) {
+    EXPECT_EQ(RoundTrip(/*compress=*/true, payload), payload);
+  }
+}
+
+TEST(CodecTest, MlzRoundTripsSeededRandomBuffers) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 1000; ++trial) {
+    // Random bytes from a small alphabet, spliced with copies of
+    // earlier stretches at random distances (some overlapping).
+    std::string payload;
+    const uint32_t target = rng.Uniform(3000);
+    while (payload.size() < target) {
+      if (!payload.empty() && rng.OneIn(3)) {
+        const size_t distance = 1 + rng.Uniform(payload.size());
+        const size_t len = 1 + rng.Uniform(300);
+        for (size_t i = 0; i < len; ++i) {
+          payload.push_back(payload[payload.size() - distance]);
+        }
+      } else {
+        const uint64_t alphabet = rng.OneIn(2) ? 4 : 256;
+        payload.push_back(static_cast<char>(rng.Uniform(alphabet)));
+      }
+    }
+    std::string out;
+    // Decode into a reused buffer holding stale bytes, as scans do.
+    out.assign(rng.Uniform(4000), 'x');
+    std::string framed;
+    EncodeBlockFrame(payload, /*compress=*/true, &framed);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ASSERT_OK(DecodeBlockFrame(framed, &out));
+    ASSERT_EQ(out, payload);
+  }
+}
+
 // ---------------- seqfile ----------------
 
 void WriteNumFile(const std::string& path, int rows,

@@ -820,6 +820,120 @@ TEST_F(EngineFaultTest, FailedJobRemovesPartialOutput) {
   EXPECT_FALSE(FileExists(config.output_path + ".inprogress"));
 }
 
+// The journal lines of `event` that name job `job`, parsed.
+std::vector<obs::JsonValue> JournalEvents(const std::string& journal_lines,
+                                          const std::string& event,
+                                          const std::string& job) {
+  std::vector<obs::JsonValue> out;
+  std::istringstream lines(journal_lines);
+  std::string line;
+  while (std::getline(lines, line)) {
+    obs::JsonValue value;
+    std::string error;
+    EXPECT_TRUE(obs::JsonParse(line, &value, &error)) << error;
+    if (value.StringOr("event", "") == event &&
+        value.StringOr("job", "") == job) {
+      out.push_back(std::move(value));
+    }
+  }
+  return out;
+}
+
+TEST_F(EngineFaultTest, MapFailureStopsSiblingTasksEarly) {
+  // Every record spins a 20k-step loop, so a map task runs for tens of
+  // milliseconds, and the map divides by (key - 2), which fails the
+  // job on the third record of the first split. The failure latch must
+  // then stop the sibling that is already running at its next record
+  // and keep the remaining tasks from starting, instead of letting
+  // every split run to the end.
+  mril::ProgramBuilder b("spin");
+  b.SetKeyType(FieldType::kI64).SetValueSchema(workloads::WebPagesSchema());
+  auto& m = b.Map();
+  const int i = m.NewLocal();
+  m.LoadI64(0).StoreLocal(i);
+  m.Label("loop");
+  m.LoadLocal(i).LoadI64(1).Add().StoreLocal(i);
+  m.LoadLocal(i).LoadI64(20000).CmpLt().JmpIfTrue("loop");
+  m.LoadI64(1).LoadParam(0).LoadI64(2).Sub().Div().Pop();
+  m.LoadParam(1).GetField("rank").LoadLocal(i).Emit().Ret();
+  const mril::Program program = b.Build();
+
+  JobConfig config = Config("spin.prs");
+  config.job_id = "latch-stop";
+  std::string journal_lines;
+  {
+    ScopedJournal record(dir_.file("latch-journal.jsonl"));
+    auto result = RunJob(Baseline(program), config);
+    ASSERT_FALSE(result.ok());
+    // The job reports the map's own error, not a sibling's abort.
+    EXPECT_EQ(result.status().message().find("job already failed"),
+              std::string::npos)
+        << result.status().ToString();
+    journal_lines = record.Written();
+  }
+  const auto starts = JournalEvents(journal_lines, "job_start", config.job_id);
+  ASSERT_EQ(starts.size(), 1u);
+  const size_t splits =
+      static_cast<size_t>(starts[0].NumberOr("splits", 0));
+  ASSERT_GE(splits, 4u) << "too few splits to show tasks stopping early";
+  EXPECT_TRUE(
+      JournalEvents(journal_lines, "task_commit", config.job_id).empty())
+      << "a map task ran to completion after the job had failed";
+  // Every task that started failed: the first on its own error, any
+  // sibling by the latch ("map task aborted: job already failed").
+  const auto task_starts =
+      JournalEvents(journal_lines, "task_start", config.job_id);
+  const auto failed =
+      JournalEvents(journal_lines, "task_failed", config.job_id);
+  EXPECT_LT(task_starts.size(), splits);
+  EXPECT_EQ(failed.size(), task_starts.size());
+}
+
+TEST_F(EngineTest, DirectEvalTellsRejectedShapeFromAdmittedNoSkip) {
+  // rank > -1 passes admission but holds in every block, so nothing is
+  // refuted; a predicate over str.len(url) is not a frame-provable
+  // shape at all. The journal must tell the two apart without reading
+  // the free-text detail.
+  mril::ProgramBuilder b("url-len");
+  b.SetKeyType(FieldType::kI64).SetValueSchema(workloads::WebPagesSchema());
+  auto& m = b.Map();
+  m.LoadParam(1).GetField("url").Call("str.len").LoadI64(3).CmpGt();
+  m.JmpIfFalse("end");
+  m.LoadParam(1).GetField("rank").LoadI64(1).Emit();
+  m.Label("end").Ret();
+  const mril::Program rejected = b.Build();
+  const mril::Program admitted = workloads::SelectionCountQuery(-1);
+
+  JobConfig admitted_config = Config("admitted.prs");
+  admitted_config.job_id = "direct-admitted";
+  JobConfig rejected_config = Config("rejected.prs");
+  rejected_config.job_id = "direct-rejected";
+  std::string journal_lines;
+  {
+    ScopedJournal record(dir_.file("direct-journal.jsonl"));
+    ASSERT_OK(RunJob(Baseline(admitted), admitted_config).status());
+    ASSERT_OK(RunJob(Baseline(rejected), rejected_config).status());
+    journal_lines = record.Written();
+  }
+  const auto yes =
+      JournalEvents(journal_lines, "direct_eval", admitted_config.job_id);
+  const auto no =
+      JournalEvents(journal_lines, "direct_eval", rejected_config.job_id);
+  ASSERT_EQ(yes.size(), 1u);
+  ASSERT_EQ(no.size(), 1u);
+  const obs::JsonValue* yes_admitted = yes[0].Find("admitted");
+  const obs::JsonValue* no_admitted = no[0].Find("admitted");
+  ASSERT_NE(yes_admitted, nullptr);
+  ASSERT_NE(no_admitted, nullptr);
+  EXPECT_TRUE(yes_admitted->is_bool() && yes_admitted->bool_value)
+      << yes[0].StringOr("detail", "");
+  EXPECT_EQ(yes[0].NumberOr("blocks_refuted", -1), 0);
+  EXPECT_GT(yes[0].NumberOr("blocks_total", 0), 0);
+  EXPECT_TRUE(no_admitted->is_bool() && !no_admitted->bool_value)
+      << no[0].StringOr("detail", "");
+  EXPECT_EQ(no[0].NumberOr("blocks_refuted", -1), 0);
+}
+
 TEST_F(EngineTest, SpeculationLaunchesDuplicatesWithoutChangingOutput) {
   // A zero threshold turns every still-running map task into a
   // "straggler" as soon as half the tasks completed, so speculative

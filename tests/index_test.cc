@@ -226,6 +226,99 @@ TEST(ExternalSorterTest, EmptyKeysAndPayloads) {
   EXPECT_EQ(count, 3);
 }
 
+// ---------------- spill buffer sort ----------------
+
+// Adds `keys` to a SpillBuffer with the insertion index as payload and
+// checks TakeSortedRun against std::stable_sort on the keys: same key
+// order, and equal keys in insertion order.
+void ExpectSortMatchesStableSort(const std::vector<std::string>& keys) {
+  SpillBuffer buffer;
+  std::vector<std::pair<std::string, std::string>> expected;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const std::string payload = std::to_string(i);
+    buffer.Add(keys[i], payload);
+    expected.emplace_back(keys[i], payload);
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  MemoryRun run = buffer.TakeSortedRun();
+  EXPECT_TRUE(buffer.empty());
+  ASSERT_EQ(run.entries.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const MemoryRun::Entry& e = run.entries[i];
+    ASSERT_EQ(run.arena.substr(e.key_offset, e.key_len), expected[i].first)
+        << "position " << i;
+    ASSERT_EQ(run.arena.substr(e.payload_offset, e.payload_len),
+              expected[i].second)
+        << "position " << i << ": equal keys out of insertion order";
+  }
+}
+
+// A random key of up to `max_len` bytes over a small alphabet that
+// includes 0x00 and 0xFF, so keys collide, and zero padding of a short
+// key window must not tie it with a longer key that has real zeros.
+std::string RandomKey(Rng* rng, size_t max_len) {
+  static constexpr char kAlphabet[] = {'\x00', '\x01', 'a', 'b', '\xff'};
+  std::string key(rng->Uniform(max_len + 1), '\0');
+  for (char& c : key) c = kAlphabet[rng->Uniform(sizeof(kAlphabet))];
+  return key;
+}
+
+TEST(SpillBufferSortTest, UrlKeysWithLongSharedPrefix) {
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    Rng rng(seed);
+    std::vector<std::string> keys;
+    for (int i = 0; i < 2000; ++i) {
+      keys.push_back("http://www.example.com/pages/section/" +
+                     RandomKey(&rng, 12));
+    }
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ExpectSortMatchesStableSort(keys);
+  }
+}
+
+TEST(SpillBufferSortTest, KeysShorterThanTheWindowAndEmptyKeys) {
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    Rng rng(100 + seed);
+    std::vector<std::string> keys = {"", "a", std::string("a\0", 2), ""};
+    for (int i = 0; i < 2000; ++i) keys.push_back(RandomKey(&rng, 10));
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ExpectSortMatchesStableSort(keys);
+  }
+}
+
+TEST(SpillBufferSortTest, DuplicatesKeepInsertionOrder) {
+  Rng rng(7);
+  std::vector<std::string> keys;
+  for (int i = 0; i < 3000; ++i) {
+    keys.push_back("k" + std::to_string(rng.Uniform(20)));
+  }
+  ExpectSortMatchesStableSort(keys);
+  // All keys equal: the common prefix is the whole key.
+  ExpectSortMatchesStableSort(std::vector<std::string>(500, "same-key"));
+  ExpectSortMatchesStableSort(std::vector<std::string>(500, ""));
+}
+
+TEST(SpillBufferSortTest, SingleEntryAndEmptyBuffer) {
+  ExpectSortMatchesStableSort({"only"});
+  ExpectSortMatchesStableSort({""});
+  ExpectSortMatchesStableSort({});
+}
+
+TEST(SpillBufferSortTest, OrderedIntKeysSortNumerically) {
+  Rng rng(3);
+  std::vector<std::string> keys;
+  for (int i = 0; i < 5000; ++i) {
+    std::string key;
+    EXPECT_OK(EncodeOrderedKey(
+        Value::I64(static_cast<int64_t>(rng.Next())), &key));
+    keys.push_back(std::move(key));
+  }
+  ExpectSortMatchesStableSort(keys);
+}
+
 // ---------------- B+Tree ----------------
 
 std::string Key(int64_t v) {

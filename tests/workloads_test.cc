@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "columnar/seqfile.h"
+#include "mril/builtins.h"
 #include "mril/vm.h"
 #include "serde/record_codec.h"
 #include "tests/test_util.h"
@@ -176,6 +178,39 @@ TEST(PavloProgramsTest, Benchmark1FiltersOnRank) {
   EXPECT_EQ(pass[0].first.str(), "http://a");
   EXPECT_EQ(pass[0].second.i64(), 500);
   EXPECT_TRUE(RunMapOnce(p, Value::I64(1), Value::Str(low_blob)).empty());
+}
+
+TEST(PavloProgramsTest, Benchmark1EmitsAnOwnedUrlFromABorrowedBlob) {
+  // opaque.get_str slices a borrowed blob without copying it; the URL
+  // the map emits must still be owned, because scans reuse the buffer
+  // the blob points into.
+  const std::string url = "http://www.example.com/long/enough/to/not/inline";
+  Record row = {Value::Str(url), Value::I64(500), Value::I64(9)};
+  ASSERT_OK_AND_ASSIGN(std::string blob, OpaqueTupleCodec::Pack(row));
+  const mril::Builtin* get_str =
+      mril::BuiltinRegistry::Get().FindByName("opaque.get_str");
+  ASSERT_NE(get_str, nullptr);
+  Value args[2] = {Value::Borrowed(blob), Value::I64(kRankPageUrl)};
+  Value slice;
+  ASSERT_OK(get_str->fn(args, &slice));
+  EXPECT_EQ(slice.str(), url);
+  ASSERT_TRUE(slice.is_borrowed_str());
+  EXPECT_GT(slice.str().data(), blob.data());
+  EXPECT_LE(slice.str().data() + url.size(), blob.data() + blob.size());
+  args[0] = Value::Str(blob);
+  ASSERT_OK(get_str->fn(args, &slice));
+  EXPECT_EQ(slice.str(), url);
+  EXPECT_FALSE(slice.is_borrowed_str());
+  args[1] = Value::I64(kRankPageRank);
+  EXPECT_FALSE(get_str->fn(args, &slice).ok());
+
+  auto out = RunMapOnce(Benchmark1Selection(100), Value::I64(0),
+                        Value::Borrowed(blob));
+  std::fill(blob.begin(), blob.end(), 'x');  // the scan reuses its buffer
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_FALSE(out[0].first.is_borrowed_str());
+  EXPECT_EQ(out[0].first.str(), url);
+  EXPECT_EQ(out[0].second.i64(), 500);
 }
 
 TEST(PavloProgramsTest, Benchmark3FiltersOnDateRange) {
